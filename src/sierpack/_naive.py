@@ -1,15 +1,21 @@
-"""Naive reference implementations used only for cross-checking the solver.
+"""Naive reference implementations used only for cross-checking.
 
 Deliberately shares no algorithmic machinery with packing.py: distances come
 from a Floyd-Warshall sweep, colorability from plain label-order backtracking
-with no capacity or symmetry pruning.
+with no capacity or symmetry pruning.  The lift-certificate margins are
+recomputed pair by pair from a boundary profile, independently of the
+vectorized condition table in certify.py.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Mapping
 
-from .graph_core import Graph, build_graph
+from .graph_core import DistanceMatrix, Graph, all_pairs_distances, build_graph
+from .sierpinski import BaseGraph, extreme_vertices, gen_generalized, gen_triangle
 
 
 def _fw_distances(g: Graph) -> list[list[float]]:
@@ -84,3 +90,71 @@ def random_connected_graphs(count: int, seed: int, n_max: int = 9):
         if len(seen) == n:
             out.append(g)
     return out
+
+
+@dataclass(frozen=True)
+class BoundaryProfile:
+    """Distances from block vertices to the block boundary.
+
+    `to_extreme[v]` is aligned with `extremes`; `between` holds ordered
+    inter-extreme distances and `d_min` their minimum.  Every base letter
+    has positive degree, so every extreme can carry an inter-block edge.
+    """
+
+    extremes: tuple[str, ...]
+    to_extreme: Mapping[str, tuple[int, ...]]
+    between: Mapping[tuple[str, str], int]
+    d_min: int
+
+
+def boundary_profile(dm: DistanceMatrix, extremes) -> BoundaryProfile:
+    ext = tuple(extremes)
+    to_e = {lab: tuple(dm.distance(lab, e) for e in ext) for lab in dm.labels}
+    between = {(a, b): dm.distance(a, b) for a in ext for b in ext if a != b}
+    return BoundaryProfile(ext, to_e, between, min(between.values()))
+
+
+def naive_lift_margins(family: str, m: int, block: Mapping[str, int],
+                       base: BaseGraph | None = None,
+                       mode: str = "refined") -> dict[int, dict[str, int]]:
+    """The certifiers' per-color margins, one pair of positions at a time:
+    `within` (block distance), `pair` (cross-block bound of two distinct
+    positions) and `single` (two copies of one position), each minus the
+    color."""
+    g = gen_triangle(m) if family == "triangle" else gen_generalized(m, base)
+    dm = all_pairs_distances(g)
+    prof = boundary_profile(dm, extreme_vertices(family, m, base))
+    to = prof.to_extreme
+    if family == "triangle":
+        def cross(u, v):
+            if u == v:  # routes between copies pass two distinct corners
+                return sum(sorted(to[u])[:2])
+            if u in prof.extremes or v in prof.extremes:
+                return None  # identified corners: no cross-block pair
+            return min(to[u]) + min(to[v])
+    elif mode == "conservative":
+        def cross(u, v):
+            return min(to[u]) + 1 + min(to[v])
+    else:
+        adjacent = {frozenset(e) for e in base.edges}
+
+        def cross(u, v):
+            return min(to[u][x] + to[v][y]
+                       + (1 if frozenset((x, y)) in adjacent else 2 + prof.d_min)
+                       for x in range(base.k) for y in range(base.k))
+
+    classes: dict[int, list[str]] = {}
+    for lab in sorted(block):
+        classes.setdefault(block[lab], []).append(lab)
+    margins = {}
+    for color, members in sorted(classes.items()):
+        cond = {}
+        if len(members) > 1:
+            pairs = list(combinations(members, 2))
+            cond["within"] = min(dm.distance(u, v) for u, v in pairs) - color
+            bounds = [b for b in (cross(u, v) for u, v in pairs) if b is not None]
+            if bounds:
+                cond["pair"] = min(bounds) - color
+        cond["single"] = min(cross(u, u) for u in members) - color
+        margins[color] = cond
+    return margins

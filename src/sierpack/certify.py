@@ -14,15 +14,14 @@ base graphs (recurrence, closed form, monotonicity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
 
-from .graph_core import DistanceMatrix, Graph, all_pairs_distances
+from .graph_core import Graph, all_pairs_distances
 from .packing import Coloring, verify_packing_coloring
 from .sierpinski import (
-    DIGITS,
     BaseGraph,
     UnknownName,
     extreme_vertices,
@@ -57,37 +56,43 @@ class BaseTooSmall(CertifyError):
     """The lower-bound recurrence needs base order k >= 4."""
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
-    """Distances from block vertices to the block boundary.
+NO_BOUND = 2 ** 15 - 1  # `pair_b` entry of a pair that carries no cross-block condition
+_ROWS = 16  # pair_b rows built per slice
 
-    `to_extreme[v]` is aligned with `extremes`; `between` holds ordered
-    inter-extreme distances and `d_min` their minimum.  Every base letter
-    has positive degree, so every extreme can carry an inter-block edge.
+
+@dataclass(frozen=True)
+class ConditionTable:
+    """Every structural lift condition of one block, indexed like `labels`.
+
+    A color-c class passes iff `pair_d` (within-block distance) and
+    `pair_b` (lower bound on the distance between copies in distinct
+    blocks) are >= c+1 for every two distinct members, and `single_b`
+    (lower bound between two copies of one position) is >= c+1 for every
+    member.  `pinned` marks the triangle corners, which gluing identifies
+    across blocks.  The arrays are int16, half the memory of int32: signed,
+    so `color - array` cannot wrap, and every bound is at most about twice
+    a block diameter, which the 5,000-vertex all-pairs limit keeps far
+    below NO_BOUND.
     """
 
-    extremes: tuple[str, ...]
-    to_extreme: Mapping[str, tuple[int, ...]]
-    between: Mapping[tuple[str, str], int]
-    d_min: int
-
-
-def boundary_profile(dm: DistanceMatrix, extremes) -> BoundaryProfile:
-    ext = tuple(extremes)
-    to_e = {lab: tuple(dm.distance(lab, e) for e in ext) for lab in dm.labels}
-    between = {(a, b): dm.distance(a, b) for a in ext for b in ext if a != b}
-    return BoundaryProfile(ext, to_e, between, min(between.values()))
+    labels: tuple[str, ...]
+    pair_d: np.ndarray
+    pair_b: np.ndarray
+    single_b: np.ndarray
+    pinned: np.ndarray
 
 
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of a lift certificate.
 
-    `margins` maps each used color to named condition slacks: slack s
-    means the measured bound was color + s, so every slack >= 1 is a
-    structural pass.  `max_dimension` is the deepest dimension verified
-    exhaustively; REFUTED reports carry the offending dimension and a
-    violation (color, u, v, distance) re-checkable on the tiled graph.
+    `margins` maps each used color to its `within`, `pair` and `single`
+    slacks against the `ConditionTable` rows (`within` and `pair` only
+    where two members carry the condition): slack s means the measured
+    bound was color + s, so every slack >= 1 is a structural pass.
+    `max_dimension` is the deepest dimension verified exhaustively;
+    REFUTED reports carry the offending dimension and a violation
+    (color, u, v, distance) re-checkable on the tiled graph.
     """
 
     status: str
@@ -121,7 +126,27 @@ class CertificateReport:
         return "\n".join(lines) + "\n"
 
 
-def _require_valid_block(g: Graph, block: Coloring) -> None:
+def _block_graph(family: str, m: int, base: BaseGraph | None) -> Graph:
+    if family == "triangle":
+        return gen_triangle(m)
+    if family == "generalized":
+        if base is None:
+            raise UnknownName("generalized family needs a base graph")
+        return gen_generalized(m, base)
+    raise UnknownName(f"unknown family {family!r}")
+
+
+def _valid_block(family: str, m: int, block: Coloring,
+                 base: BaseGraph | None) -> Graph:
+    """The block graph, once `block` is a total, valid packing coloring of
+    it that colors the triangle corners equally."""
+    if family == "triangle":
+        corners = extreme_vertices("triangle", m)
+        colors = {e: block[e] for e in corners if e in block}
+        if len(colors) == len(corners) and len(set(colors.values())) > 1:
+            shown = ", ".join(f"{e}={c}" for e, c in sorted(colors.items()))
+            raise CornerColorMismatch(f"corner colors differ: {shown}")
+    g = _block_graph(family, m, base)
     report = verify_packing_coloring(g, block)
     if report.uncolored:
         raise InvalidBlockColoring(
@@ -131,13 +156,18 @@ def _require_valid_block(g: Graph, block: Coloring) -> None:
         c, u, v, d = report.violations[0]
         raise InvalidBlockColoring(
             f"block pair {u}, {v} shares color {c} at distance {d}")
+    return g
 
 
-def _check_triangle_corners(block: Coloring, corners) -> None:
-    colors = {e: block[e] for e in corners if e in block}
-    if len(colors) == len(corners) and len(set(colors.values())) > 1:
-        shown = ", ".join(f"{e}={c}" for e, c in sorted(colors.items()))
-        raise CornerColorMismatch(f"corner colors differ: {shown}")
+def _tiled(family: str, m: int, block: Coloring, n: int,
+           base: BaseGraph | None) -> tuple[Graph, dict[str, int]]:
+    """The dimension-n graph and the block coloring copied into each of
+    its dimension-m blocks."""
+    big = _block_graph(family, n, base)
+    cut = n - m
+    if family == "triangle":
+        return big, {lab: block[triangle_canonical(lab[cut:])] for lab in big.labels}
+    return big, {lab: block[lab[cut:]] for lab in big.labels}
 
 
 def tile_coloring(family: str, m: int, block: Coloring, n: int,
@@ -147,51 +177,95 @@ def tile_coloring(family: str, m: int, block: Coloring, n: int,
     classes equally, because gluing identifies corners across blocks."""
     if n < m:
         raise ValueError(f"target dimension {n} below block dimension {m}")
-    if family == "generalized":
-        if base is None:
-            raise UnknownName("generalized family needs a base graph")
-        _require_valid_block(gen_generalized(m, base), block)
-        big = gen_generalized(n, base)
-        cut = n - m
-        return {lab: block[lab[cut:]] for lab in big.labels}
+    _valid_block(family, m, block, base)
+    return _tiled(family, m, block, n, base)[1]
+
+
+def _conditions(g: Graph, family: str, m: int, base: BaseGraph | None,
+                mode: str) -> ConditionTable:
+    if mode not in (REFINED, CONSERVATIVE):
+        raise ValueError(f"unknown mode {mode!r}")
+    pair_d = all_pairs_distances(g).matrix.astype(np.int16)
+    ext = [g.index(e) for e in extreme_vertices(family, m, base)]
+    to_ext = pair_d[:, ext]
+    pinned = np.zeros(g.n, dtype=bool)
     if family == "triangle":
-        _check_triangle_corners(block, extreme_vertices("triangle", m))
-        _require_valid_block(gen_triangle(m), block)
-        big = gen_triangle(n)
-        cut = n - m
-        return {lab: block[triangle_canonical(lab[cut:])] for lab in big.labels}
-    raise UnknownName(f"unknown family {family!r}")
+        pinned[ext] = True
+        delta = to_ext.min(axis=1)
+        pair_b = delta[:, None] + delta[None, :]
+        pair_b[pinned, :] = NO_BOUND
+        pair_b[:, pinned] = NO_BOUND
+        two_nearest = np.partition(to_ext, 1, axis=1)[:, :2]
+        single_b = two_nearest.sum(axis=1, dtype=np.int16)
+    else:
+        d_min = min(int(pair_d[a, b]) for a in ext for b in ext if a != b)
+        edges = set(base.edges) | {(y, x) for x, y in base.edges}
+        hop = np.array([[1 if mode == CONSERVATIVE or (x, y) in edges
+                         else 2 + d_min for y in range(base.k)]
+                        for x in range(base.k)], dtype=np.int16)
+        # reach[v, x] = min over y of hop(x, y) + d(v, y^m); rows of pair_b
+        # go in slices so that no second n x n array is ever held
+        reach = (hop[None, :, :] + to_ext[:, None, :]).min(axis=2)
+        pair_b = np.empty((g.n, g.n), dtype=np.int16)
+        for r in range(0, g.n, _ROWS):
+            pair_b[r:r + _ROWS] = (to_ext[r:r + _ROWS, None, :]
+                                   + reach[None, :, :]).min(axis=2)
+        single_b = pair_b.diagonal().copy()
+    return ConditionTable(g.labels, pair_d, pair_b, single_b, pinned)
 
 
-def _color_classes(block: Coloring) -> dict[int, list[str]]:
-    classes: dict[int, list[str]] = {}
-    for lab in sorted(block):
-        classes.setdefault(block[lab], []).append(lab)
-    return classes
+def condition_table(family: str, m: int, base: BaseGraph | None = None,
+                    mode: str = REFINED) -> ConditionTable:
+    """The conditions under which a dimension-m block coloring lifts.
+
+    Generalized family: pair_b(u, v) is the minimum over ordered letters
+    (x, y) of d(u, x^m) + hop(x, y) + d(v, y^m), and single_b its
+    diagonal.  In refined mode hop is 1 for base edges {x, y} and
+    2 + d_min otherwise (d_min the least inter-extreme distance); in
+    conservative mode hop is 1 throughout.  Triangle family (`mode` is
+    ignored): pair_b(u, v) = delta(u) + delta(v) with delta the nearest
+    corner distance, no bound where either vertex is a corner, and
+    single_b the sum of the two smallest corner distances.  The
+    certifiers explain why these bound every cross-block distance.
+    """
+    return _conditions(_block_graph(family, m, base), family, m, base, mode)
 
 
-def _within_slack(dm: DistanceMatrix, members: list[str], color: int) -> int | None:
-    if len(members) < 2:
-        return None
-    idx = [dm.index[lab] for lab in members]
-    sub = dm.matrix[np.ix_(idx, idx)]
-    pair_min = int(sub[np.triu_indices(len(idx), k=1)].min())
-    return pair_min - color
+def _margins(table: ConditionTable, block: Coloring) -> dict[int, dict[str, int]]:
+    colors = np.array([block[lab] for lab in table.labels])
+    margins: dict[int, dict[str, int]] = {}
+    for color in np.unique(colors).tolist():
+        idx = np.flatnonzero(colors == color)
+        cond: dict[str, int] = {}
+        if len(idx) > 1:
+            for key, rows in (("within", table.pair_d), ("pair", table.pair_b)):
+                sub = rows[np.ix_(idx, idx)]
+                np.fill_diagonal(sub, NO_BOUND)
+                if sub.min() < NO_BOUND:
+                    cond[key] = int(sub.min()) - color
+        cond["single"] = int(table.single_b[idx].min()) - color
+        margins[color] = cond
+    return margins
 
-def _backstop(family: str, m: int, block: Coloring, depth: int,
-              base: BaseGraph | None, tiler) -> tuple[int, Optional[tuple]]:
-    """Exhaustively verify tilings at m+1..m+depth.  Returns the deepest
-    clean dimension and the first violation (dimension, color, u, v, d)."""
+
+def _certify(family: str, m: int, block: Coloring, base: BaseGraph | None,
+             mode: str, depth: int) -> CertificateReport:
+    """Validate the block, read its margins off the condition table, then
+    verify the tilings at m+1..m+depth exhaustively."""
+    g = _valid_block(family, m, block, base)
+    margins = _margins(_conditions(g, family, m, base, mode), block)
+    mode = "triangle" if family == "triangle" else mode
     last_clean = m
-    for step in range(1, depth + 1):
-        n = m + step
-        big = (gen_generalized(n, base) if family == "generalized"
-               else gen_triangle(n))
-        report = verify_packing_coloring(big, tiler(n))
+    for n in range(m + 1, m + depth + 1):
+        report = verify_packing_coloring(*_tiled(family, m, block, n, base))
         if report.violations:
-            return last_clean, (n,) + report.violations[0]
+            return CertificateReport(REFUTED, mode, margins,
+                                     max_dimension=last_clean, refuted_dimension=n,
+                                     violation=report.violations[0])
         last_clean = n
-    return last_clean, None
+    structural = all(min(c.values()) >= 1 for c in margins.values())
+    return CertificateReport(CERTIFIED if structural else EMPIRICAL, mode,
+                             margins, max_dimension=last_clean)
 
 
 def certify_generalized_tiling(g: BaseGraph, m: int, block: Coloring,
@@ -212,51 +286,13 @@ def certify_generalized_tiling(g: BaseGraph, m: int, block: Coloring,
     the second branch because a route with two or more inter-block edges
     must transit an intermediate block between two of its extremes.
     Conservative mode collapses this to nearest-extreme distances plus
-    one edge.  Structural pass on every color plus a clean exhaustive
+    one edge.  `condition_table` holds these bounds (`pair_b`, and
+    `single_b` for two copies of one vertex); the margins are their
+    slacks.  Structural pass on every color plus a clean exhaustive
     backstop yields CERTIFIED; a backstop pass alone yields EMPIRICAL;
     any backstop violation refutes the lift.
     """
-    if mode not in (REFINED, CONSERVATIVE):
-        raise ValueError(f"unknown mode {mode!r}")
-    small = gen_generalized(m, g)
-    _require_valid_block(small, block)
-    dm = all_pairs_distances(small)
-    letters = DIGITS[:g.k]
-    prof = boundary_profile(dm, [x * m for x in letters])
-    base_edges = {frozenset((DIGITS[x], DIGITS[y])) for x, y in g.edges}
-
-    margins: dict[int, dict[str, int]] = {}
-    for color, members in _color_classes(block).items():
-        cond: dict[str, int] = {}
-        within = _within_slack(dm, members, color)
-        if within is not None:
-            cond["within"] = within
-        to_ext = np.array([prof.to_extreme[lab] for lab in members])
-        nearest = to_ext.min(axis=0)  # per extreme letter, over the class
-        if mode == CONSERVATIVE:
-            cross_min = 2 * int(nearest.min()) + 1
-        else:
-            cross_min = None
-            for xi, x in enumerate(letters):
-                for yi, y in enumerate(letters):
-                    hop = (1 if frozenset((x, y)) in base_edges
-                           else 2 + prof.d_min)
-                    bound = int(nearest[xi]) + hop + int(nearest[yi])
-                    if cross_min is None or bound < cross_min:
-                        cross_min = bound
-        cond["cross"] = cross_min - color
-        margins[color] = cond
-
-    structural = all(min(c.values()) >= 1 for c in margins.values())
-    tiler = lambda n: {lab: block[lab[n - m:]]
-                       for lab in gen_generalized(n, g).labels}
-    last_clean, bad = _backstop("generalized", m, block, empirical_depth, g, tiler)
-    if bad is not None:
-        n, c, u, v, d = bad
-        return CertificateReport(REFUTED, mode, margins, max_dimension=last_clean,
-                                 refuted_dimension=n, violation=(c, u, v, d))
-    status = CERTIFIED if structural else EMPIRICAL
-    return CertificateReport(status, mode, margins, max_dimension=last_clean)
+    return _certify("generalized", m, block, g, mode, empirical_depth)
 
 
 def certify_triangle_tiling(m: int, block: Coloring,
@@ -277,43 +313,11 @@ def certify_triangle_tiling(m: int, block: Coloring,
             same position in distinct blocks, whose connecting routes
             either pass two distinct corners or pay the 2^m junction gap.
 
-    The exhaustive backstop and status logic match the generalized case.
+    These are the `pair_d`, `pair_b` and `single_b` rows of
+    `condition_table`.  The exhaustive backstop and status logic match
+    the generalized case.
     """
-    small = gen_triangle(m)
-    corners = extreme_vertices("triangle", m)
-    _check_triangle_corners(block, corners)
-    _require_valid_block(small, block)
-    dm = all_pairs_distances(small)
-    prof = boundary_profile(dm, corners)
-    corner_set = set(corners)
-
-    margins: dict[int, dict[str, int]] = {}
-    for color, members in _color_classes(block).items():
-        cond: dict[str, int] = {}
-        within = _within_slack(dm, members, color)
-        if within is not None:
-            cond["within"] = within
-        to_corner = np.array([prof.to_extreme[lab] for lab in members])
-        # smallest two corner distances per vertex = tightest corner pair
-        two_small = np.partition(to_corner, 1, axis=1)[:, :2].sum(axis=1)
-        cond["corner_sum"] = int(two_small.min()) - color
-        deltas = sorted(int(to_corner[i].min()) for i, lab in enumerate(members)
-                        if lab not in corner_set)
-        if len(deltas) >= 2:
-            cond["pair_sum"] = deltas[0] + deltas[1] - color
-        margins[color] = cond
-
-    structural = all(min(c.values()) >= 1 for c in margins.values())
-    tiler = lambda n: {lab: block[triangle_canonical(lab[n - m:])]
-                       for lab in gen_triangle(n).labels}
-    last_clean, bad = _backstop("triangle", m, block, empirical_depth, None, tiler)
-    if bad is not None:
-        n, c, u, v, d = bad
-        return CertificateReport(REFUTED, "triangle", margins,
-                                 max_dimension=last_clean,
-                                 refuted_dimension=n, violation=(c, u, v, d))
-    status = CERTIFIED if structural else EMPIRICAL
-    return CertificateReport(status, "triangle", margins, max_dimension=last_clean)
+    return _certify("triangle", m, block, None, REFINED, empirical_depth)
 
 
 def build_k4e_eleven_coloring() -> dict[str, int]:

@@ -37,7 +37,6 @@ from .certify import (
     tile_coloring,
 )
 from .graph_core import (
-    FormatError,
     GraphError,
     all_pairs_distances,
     diameter,
@@ -62,9 +61,6 @@ from .packing import (
 )
 from .search import SearchConfig, search_certified_coloring
 from .sierpinski import (
-    DimensionOutOfRange,
-    InvalidBaseGraph,
-    UnknownName,
     base_graph_library,
     gen_generalized,
     gen_sierpinski,
@@ -1025,14 +1021,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"sierpack: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except (FormatError, UnknownName, DimensionOutOfRange,
-            InvalidBaseGraph) as exc:
-        print(f"sierpack: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except MissingData as exc:
         print(f"sierpack: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except ValueError as exc:
+    except (GraphError, CertifyError, ValueError) as exc:
         print(f"sierpack: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,12 +1,14 @@
 """Stochastic search for block colorings that pass the lift certificates.
 
-The objective is the exact sum of integer certificate deficits, so zero
-penalty coincides with a structural certificate pass.  Moves recolor one
-vertex (biased toward vertices that appear in violated conditions) or
-swap two whole color classes; acceptance follows simulated annealing
-with geometric cooling and reheat-on-stagnation.  A run is deterministic
-given its seed; restarts derive seeds and may execute in parallel, with
-the reported best chosen by (certified bound, penalty, seed).
+The objective is the exact sum of integer deficits against the block's
+`certify.condition_table`, the conditions the certifier's margins read,
+so zero penalty coincides with a structural certificate pass.  Moves
+recolor one vertex (biased toward vertices that appear in violated
+conditions) or swap two whole color classes; acceptance follows
+simulated annealing with geometric cooling and reheat-on-stagnation.  A
+run is deterministic given its seed; restarts derive seeds and may
+execute in parallel, with the reported best chosen by (certified bound,
+penalty, seed).
 """
 
 from __future__ import annotations
@@ -23,21 +25,16 @@ from .certify import (
     CERTIFIED,
     certify_generalized_tiling,
     certify_triangle_tiling,
+    condition_table,
 )
-from .graph_core import all_pairs_distances
 from .packing import max_color as _max_color_used
 from .sierpinski import (
     BaseGraph,
-    DIGITS,
     DimensionOutOfRange,
-    UnknownName,
     extreme_vertices,
-    gen_generalized,
-    gen_triangle,
     triangle_canonical,
 )
 
-_NO_BOUND = 10 ** 6  # sentinel: pair carries no boundary condition
 _HEAT_REFRESH = 256  # moves between violation-heat refreshes
 
 
@@ -72,67 +69,23 @@ class SearchOutcome:
 
 
 class _Context:
-    """Precomputed condition data for one block.
-
-    `pair_d` holds within-block distances (condition: >= color + 1 for
-    distinct same-color vertices).  `pair_b` holds the cross-block bound
-    for pairs (boundary-distance sums; `_NO_BOUND` where no condition
-    applies), and `single_b` its diagonal: the bound separating copies of
-    one position in distinct blocks, which every vertex must satisfy.
-    """
+    """One block's condition table (see `certify.condition_table`) plus the
+    move evaluation that the search derives from it."""
 
     def __init__(self, family: str, m: int, base: Optional[BaseGraph]):
-        if family == "triangle":
-            if m < 1:
-                raise DimensionOutOfRange(
-                    f"triangle block dimension {m} below 1")
-            g = gen_triangle(m)
-            dm = all_pairs_distances(g)
-            corners = extreme_vertices("triangle", m)
-            corner_idx = np.array([dm.index[c] for c in corners])
-            to_corner = dm.matrix[:, corner_idx].astype(np.int64)
-            delta = to_corner.min(axis=1)
-            two_small = np.partition(to_corner, 1, axis=1)[:, :2].sum(axis=1)
-            pair_b = delta[:, None] + delta[None, :]
-            is_corner = np.zeros(g.n, dtype=bool)
-            is_corner[corner_idx] = True
-            pair_b[is_corner, :] = _NO_BOUND
-            pair_b[:, is_corner] = _NO_BOUND
-            single = two_small
-            pinned = is_corner
-        elif family == "generalized":
-            if base is None:
-                raise UnknownName("generalized family needs a base graph")
-            g = gen_generalized(m, base)
-            dm = all_pairs_distances(g)
-            letters = DIGITS[:base.k]
-            ext_idx = np.array([dm.index[x * m] for x in letters])
-            to_ext = dm.matrix[:, ext_idx].astype(np.int64)
-            d_min = int(dm.matrix[np.ix_(ext_idx, ext_idx)]
-                        [~np.eye(base.k, dtype=bool)].min())
-            edges = {(x, y) for x, y in base.edges} | {(y, x) for x, y in base.edges}
-            pair_b = None
-            for xi in range(base.k):
-                for yi in range(base.k):
-                    hop = 1 if (xi, yi) in edges else 2 + d_min
-                    cand = to_ext[:, xi][:, None] + hop + to_ext[:, yi][None, :]
-                    pair_b = cand if pair_b is None else np.minimum(pair_b, cand)
-            single = pair_b.diagonal().copy()
-            pinned = np.zeros(g.n, dtype=bool)
-        else:
-            raise UnknownName(f"unknown family {family!r}")
-
+        if family == "triangle" and m < 1:
+            raise DimensionOutOfRange(f"triangle block dimension {m} below 1")
+        table = condition_table(family, m, base)
         self.family = family
         self.m = m
         self.base = base
-        self.graph = g
-        self.labels = g.labels
-        self.n = g.n
-        self.pair_d = dm.matrix.astype(np.int64)
-        self.pair_b = pair_b
-        self.single_b = single
-        self.pinned = pinned
-        self.free = np.flatnonzero(~pinned)
+        self.labels = table.labels
+        self.n = len(table.labels)
+        self.pair_d = table.pair_d
+        self.pair_b = table.pair_b
+        self.single_b = table.single_b
+        self.pinned = table.pinned
+        self.free = np.flatnonzero(~self.pinned)
         # largest color each vertex can carry without violating its own
         # boundary condition; recolor moves stay within these caps
         self.color_cap = np.maximum(self.single_b - 1, 1)
@@ -204,16 +157,12 @@ class _Context:
                 - self._class_cost(ia, a) - self._class_cost(ib, b))
 
 
-def _build_context(family: str, m: int, base: Optional[BaseGraph]) -> _Context:
-    return _Context(family, m, base)
-
-
 def penalty(family: str, m: int, candidate: Mapping[str, int],
             base: Optional[BaseGraph] = None) -> int:
     """Exact certificate deficit of a total block coloring: zero iff every
     structural condition of the matching certifier holds.  Unequal triangle
     corner colors count one deficit per unequal pair."""
-    ctx = _build_context(family, m, base)
+    ctx = _Context(family, m, base)
     missing = [lab for lab in ctx.labels if lab not in candidate]
     if missing:
         raise ValueError(f"candidate misses {len(missing)} block vertices, "
@@ -379,8 +328,7 @@ def _certify_candidate(ctx: _Context, colors: np.ndarray):
     return coloring, report
 
 
-def _run_restart(cfg: SearchConfig, seed: int) -> SearchOutcome:
-    ctx = _build_context(cfg.family, cfg.m, cfg.base)
+def _run_restart(ctx: _Context, cfg: SearchConfig, seed: int) -> SearchOutcome:
     rng = random.Random(seed)
     colors = _peel_initial(ctx, cfg.max_color, rng)
     classes: list[list[int]] = [[] for _ in range(cfg.max_color + 1)]
@@ -495,7 +443,7 @@ def _run_restart(cfg: SearchConfig, seed: int) -> SearchOutcome:
 
 
 def _outcome_key(out: SearchOutcome):
-    bound = out.certified_bound if out.certified_bound is not None else _NO_BOUND
+    bound = out.certified_bound if out.certified_bound is not None else math.inf
     return (bound, out.penalty, out.seed)
 
 
@@ -503,11 +451,12 @@ def search_certified_coloring(cfg: SearchConfig, threads: int = 1) -> SearchOutc
     """Run `cfg.restarts` independent annealing runs with derived seeds and
     return the best outcome; any zero-penalty candidate is confirmed by the
     full certifier before being reported as certified."""
-    _build_context(cfg.family, cfg.m, cfg.base)  # validate dimensions early
+    ctx = _Context(cfg.family, cfg.m, cfg.base)
     seeds = [cfg.seed + r for r in range(cfg.restarts)]
     if threads > 1 and cfg.restarts > 1:
         with ProcessPoolExecutor(max_workers=min(threads, cfg.restarts)) as pool:
-            outcomes = list(pool.map(_run_restart, [cfg] * len(seeds), seeds))
+            outcomes = list(pool.map(_run_restart, [ctx] * len(seeds),
+                                     [cfg] * len(seeds), seeds))
     else:
-        outcomes = [_run_restart(cfg, s) for s in seeds]
+        outcomes = [_run_restart(ctx, cfg, s) for s in seeds]
     return min(outcomes, key=_outcome_key)

@@ -1,35 +1,42 @@
 """Tests for lift certificates and the lower-bound sequence machinery."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sierpack._data import MissingData, load_coloring, load_graph, load_map
+from sierpack._naive import boundary_profile, naive_lift_margins
 from sierpack.certify import (
     CERTIFIED,
     EMPIRICAL,
+    NO_BOUND,
     REFUTED,
     BaseTooSmall,
     BoundSequence,
     CornerColorMismatch,
     InvalidBlockColoring,
-    boundary_profile,
+    _margins,
     build_k4e_eleven_coloring,
     certify_generalized_tiling,
     certify_triangle_tiling,
+    condition_table,
     lower_bound_closed_form,
     lower_bound_sequence,
     monotonicity_check,
     tile_coloring,
 )
 from sierpack.graph_core import all_pairs_distances, bfs_distances
-from sierpack.packing import max_color, verify_packing_coloring
+from sierpack.packing import greedy_packing_coloring, max_color, verify_packing_coloring
 from sierpack.sierpinski import (
     UnknownName,
     base_graph_library,
     extreme_vertices,
     gen_generalized,
     gen_triangle,
+    triangle_canonical,
 )
 
 C4 = base_graph_library("C4")
@@ -147,7 +154,7 @@ def test_conservative_mode_loses_the_c4_block():
     assert report.status == EMPIRICAL
     assert report.max_dimension == 5
     # both 3-colored extremal neighbours collapse to bound 1+1+1 = 3
-    assert report.margins[3]["cross"] == 0
+    assert report.margins[3]["pair"] == 0
 
 
 def test_certificate_without_backstop_keeps_structural_result():
@@ -162,7 +169,7 @@ def test_triangle_block_with_center_eight_is_refuted():
     report = certify_triangle_tiling(2, block)
     assert report.status == REFUTED
     # the center cannot support 8: both corner distances are 2, 2+2 < 9
-    assert report.margins[8]["corner_sum"] < 1
+    assert report.margins[8]["single"] < 1
     # the reported violation really happens on the tiled graph
     n = report.refuted_dimension
     color, u, v, dist = report.violation
@@ -193,34 +200,71 @@ def test_certificate_report_text_shape():
 
 
 def test_refined_cross_bound_is_admissible():
-    # the certificate's cross-block bound must never exceed true distance
-    block = load_coloring("fig7_s2k13.coloring")
-    m, g = 2, K13
-    small = gen_generalized(m, g)
-    dm = all_pairs_distances(small)
-    letters = "0123"
-    prof = boundary_profile(dm, [x * m for x in letters])
-    base_edges = {frozenset((str(x), str(y))) for x, y in g.edges}
+    # the table's cross-block bounds must never exceed true distance: pair_b
+    # for two positions in distinct blocks, single_b for two distinct
+    # copies of one position (on P4 the non-edge hop gives some bounds)
+    for family, m, base in (("generalized", 2, K13), ("generalized", 2, C4),
+                            ("generalized", 2, base_graph_library("P4")),
+                            ("triangle", 2, None)):
+        table = condition_table(family, m, base)
+        where = {lab: i for i, lab in enumerate(table.labels)}
+        for n in (m + 1, m + 2):
+            if family == "triangle":
+                big, canon = gen_triangle(n), triangle_canonical
+            else:
+                big, canon = gen_generalized(n, base), str
+            dist = all_pairs_distances(big).matrix.astype(np.int64)
+            cut = n - m
+            pos = np.array([where[canon(lab[cut:])] for lab in big.labels])
+            blk = np.array([lab[:cut] for lab in big.labels])
+            apart = blk[:, None] != blk[None, :]
+            bound = table.pair_b[pos[:, None], pos[None, :]]
+            pairs = apart & (pos[:, None] != pos[None, :]) & (bound < NO_BOUND)
+            assert (dist >= bound)[pairs].all()
+            copies = apart & (pos[:, None] == pos[None, :])
+            assert copies.any()
+            assert (dist >= table.single_b[pos][:, None])[copies].all()
 
-    def cross(u, v):
-        best = None
-        for xi, x in enumerate(letters):
-            for yi, y in enumerate(letters):
-                hop = 1 if frozenset((x, y)) in base_edges else 2 + prof.d_min
-                b = prof.to_extreme[u][xi] + hop + prof.to_extreme[v][yi]
-                best = b if best is None or b < best else best
-        return best
 
-    for n in (m + 1, m + 2):
-        big = gen_generalized(n, g)
-        dist = all_pairs_distances(big)
-        labels = big.labels
-        for i in range(0, len(labels), 7):
-            for j in range(1, len(labels), 13):
-                u, v = labels[i], labels[j]
-                if u[:n - m] == v[:n - m]:
-                    continue  # same block: bound does not apply
-                assert dist.distance(u, v) >= cross(u[n - m:], v[n - m:])
+def _triangle_block(m, rng):
+    # corners first, so that all three take color 1
+    g = gen_triangle(m)
+    corners = extreme_vertices("triangle", m)
+    rest = [lab for lab in g.labels if lab not in corners]
+    rng.shuffle(rest)
+    return greedy_packing_coloring(g, order=corners + rest)
+
+
+def test_table_margins_match_pairwise_oracle():
+    # greedy blocks through the certifiers, and random colorings, which need
+    # not be packing colorings, straight against the table: their many small
+    # classes reach pairs whose bound only a non-edge hop gives (on P4)
+    rng = random.Random(5)
+    for name in ("C4", "K13", "K4E", "P4", "PAW", "K4"):
+        base = base_graph_library(name)
+        for m in (2, 3):
+            block = greedy_packing_coloring(gen_generalized(m, base),
+                                            seed=rng.randrange(10 ** 6))
+            for mode in ("refined", "conservative"):
+                report = certify_generalized_tiling(base, m, block, mode=mode,
+                                                    empirical_depth=0)
+                assert report.margins == naive_lift_margins(
+                    "generalized", m, block, base, mode), (name, m, mode)
+                table = condition_table("generalized", m, base, mode)
+                for _ in range(3):
+                    coloring = {lab: rng.randint(1, 4 ** m // 2)
+                                for lab in table.labels}
+                    assert _margins(table, coloring) == naive_lift_margins(
+                        "generalized", m, coloring, base, mode), (name, m, mode)
+    for m in (1, 2, 3, 4):
+        for _ in range(2):
+            block = _triangle_block(m, rng)
+            report = certify_triangle_tiling(m, block, empirical_depth=0)
+            assert report.margins == naive_lift_margins("triangle", m, block), m
+        table = condition_table("triangle", m)
+        coloring = {lab: rng.randint(1, len(table.labels) // 2)
+                    for lab in table.labels}
+        assert _margins(table, coloring) == naive_lift_margins("triangle", m, coloring)
 
 
 def test_eleven_coloring_verifies_with_max_eleven():

@@ -62,6 +62,29 @@ def test_unknown_subcommand_exits_3(capsys):
     assert err.value.code == 3
 
 
+@pytest.mark.parametrize("argv, files, message", [
+    (["chi", "g"], {"g": "v a\nv b\nv c\ne a b\n"}, "connected graph"),
+    (["chi", "g"], {"g": "v a\nv b\ne a a\ne a b\n"}, "self loop"),
+    (["verify", "g", "c"], {"g": "v a\nv b\ne a b\n", "c": "a 1\nzz 2\n"},
+     "'zz'"),
+    (["decide", "g", "2", "--require", "q=1"], {"g": "v a\nv b\ne a b\n"},
+     "'q'"),
+    (["certify", "--family", "triangle", "--m", "1", "c"],
+     {"c": "00 1\n01 2\n02 4\n11 1\n12 3\n22 2\n"}, "corner colors differ"),
+    (["certify", "--family", "triangle", "--m", "1", "c"],
+     {"c": "00 1\n01 1\n02 2\n11 1\n12 3\n22 1\n"}, "block pair 00, 01"),
+], ids=["chi-disconnected", "chi-self-loop", "verify-unknown-label",
+        "decide-unknown-vertex", "certify-corner-mismatch", "certify-invalid-block"])
+def test_bad_input_exits_3_with_one_line(argv, files, message, tmp_path, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith("sierpack: ")
+    assert message in err
+
+
 # ------------------------------------------------------------------- chi
 
 

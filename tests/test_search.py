@@ -15,7 +15,7 @@ from sierpack.certify import (
 from sierpack.packing import max_color, verify_packing_coloring
 from sierpack.search import (
     SearchConfig,
-    _build_context,
+    _Context,
     _peel_initial,
     _triangle_independent_core,
     penalty,
@@ -87,7 +87,7 @@ def test_penalty_guards():
 
 
 def test_penalty_matches_vectorized_total_and_deltas():
-    ctx = _build_context("triangle", 2, None)
+    ctx = _Context("triangle", 2, None)
     rng = random.Random(7)
     for _ in range(25):
         colors = {lab: rng.randint(1, 6) for lab in ctx.labels}
@@ -114,7 +114,7 @@ def test_independent_core_sizes_follow_recursion():
 
 def test_independent_core_is_independent_and_keeps_corners():
     for m in (2, 3, 4):
-        ctx = _build_context("triangle", m, None)
+        ctx = _Context("triangle", m, None)
         core = _triangle_independent_core(m)
         idx = [i for i, lab in enumerate(ctx.labels) if lab in core]
         sub = ctx.pair_d[np.ix_(idx, idx)]
@@ -126,7 +126,7 @@ def test_independent_core_is_independent_and_keeps_corners():
 def test_independent_core_matches_brute_force_maximum():
     for m in (1, 2):
         g = gen_triangle(m)
-        ctx = _build_context("triangle", m, None)
+        ctx = _Context("triangle", m, None)
         adj = ctx.pair_d == 1
         n = g.n
         best = 0
@@ -139,7 +139,7 @@ def test_independent_core_matches_brute_force_maximum():
 
 
 def test_peel_initial_is_total_and_capped():
-    ctx = _build_context("triangle", 3, None)
+    ctx = _Context("triangle", 3, None)
     colors = _peel_initial(ctx, 7, random.Random(0))
     assert colors.min() >= 1
     assert colors.max() <= 7
