@@ -395,7 +395,7 @@ def check_dim3_lower_bound(direct_budget: float = 3600.0,
     return rows
 
 
-def check_shipped_colorings(budget: float = 120.0) -> list[CheckRow]:
+def check_shipped_colorings() -> list[CheckRow]:
     """Every shipped coloring verifies with its advertised top color."""
     cases = [
         ("fig5_s3c4.coloring", "S3_C4", 5),
@@ -430,7 +430,7 @@ def check_shipped_colorings(budget: float = 120.0) -> list[CheckRow]:
     return rows
 
 
-def check_lift_certificates(budget: float = 600.0) -> list[CheckRow]:
+def check_lift_certificates() -> list[CheckRow]:
     """Block colorings certify, and their tilings verify at m+1 and m+2."""
     rows = []
     cases = [
@@ -575,7 +575,7 @@ def check_block_search(seed_hard: int = 5, seed_target: int = 32,
     return rows
 
 
-def check_structure(budget: float = 120.0) -> list[CheckRow]:
+def check_structure() -> list[CheckRow]:
     """Vertex/edge counts, diameters, and the two triangle constructions."""
     rows = []
 
@@ -761,10 +761,6 @@ def cmd_chi(args, parser) -> int:
     return code
 
 
-def _format_witness(witness: dict[str, int]) -> str:
-    return format_coloring_text(witness)
-
-
 def _parse_constraints(forbid: Sequence[str], require: Sequence[str],
                        parser) -> ColorConstraints:
     forbidden: dict[str, frozenset[int]] = {}
@@ -806,7 +802,7 @@ def cmd_decide(args, parser) -> int:
         print(f"{res.status} ({res.nodes_explored} nodes,"
               f" {res.elapsed:.1f}s)")
         if not args.quiet and res.witness is not None:
-            sys.stdout.write(_format_witness(res.witness))
+            sys.stdout.write(format_coloring_text(res.witness))
     return code
 
 

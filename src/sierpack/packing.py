@@ -4,8 +4,9 @@ A packing coloring assigns colors >= 1 so that two vertices sharing color i
 are at distance > i.  The solver is a branch-and-bound over a fixed vertex
 order (degree descending, label tiebreak) with ascending color trial,
 forward checking on per-vertex color masks, and per-color capacity pruning
-from exact maximum i-packing sizes.  UNSAT answers are only reported when
-the tree is exhausted within budget.
+from exact maximum i-packing sizes, all read from one per-graph context,
+`_Metric`, that `chi_rho` reuses for every k.  UNSAT answers are only
+reported when the tree is exhausted within budget.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import random
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graph_core import (
     DisconnectedGraph,
@@ -130,12 +133,58 @@ def _max_clique_size(masks: Sequence[int], deadline: float | None = None) -> int
     return best
 
 
-def _clique_number(g: Graph, deadline: float | None = None) -> int:
-    masks = [0] * g.n
-    for i in range(g.n):
-        for j in g.neighbor_indices(i):
-            masks[i] |= 1 << j
-    return _max_clique_size(masks, deadline)
+class _Metric:
+    """One graph's distance context, derived once and shared by the bounds,
+    the capacities and the branch-and-bound of every k: the all-pairs
+    matrix, the radius-c balls and the exact maximum i-packing sizes."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.n = g.n
+        self.dm = all_pairs_distances(g).matrix
+        self.diam = int(self.dm.max(initial=0))
+        self._balls: dict[int, list[int]] = {}
+        self._packing: dict[int, int] = {}
+
+    def ball(self, c: int) -> list[int]:
+        """ball(c)[v]: bitmask of the vertices within distance c of v, v
+        excluded.  UNREACHABLE pairs are never within any c."""
+        if c not in self._balls:
+            near = self.dm <= c
+            np.fill_diagonal(near, False)
+            rows = np.packbits(near, axis=1, bitorder="little")
+            self._balls[c] = [int.from_bytes(r.tobytes(), "little") for r in rows]
+        return self._balls[c]
+
+    def max_packing(self, i: int, budget: float = DEFAULT_BUDGET) -> int:
+        """Exact size, the clique on the complements of ball(i); memoised,
+        but a SolveTimeout is not, so a later call retries."""
+        if i not in self._packing:
+            full = (1 << self.n) - 1
+            far = [full & ~b & ~(1 << v) for v, b in enumerate(self.ball(i))]
+            self._packing[i] = _max_clique_size(far, time.monotonic() + budget)
+        return self._packing[i]
+
+    def counting_bound(self) -> int:
+        total = t = 0  # total: sum of max i-packing sizes for i = 1..t
+        while total < self.n:
+            t += 1
+            total += self.max_packing(t)
+        return max(t, _max_clique_size(self.ball(1)))
+
+    def capacities(self, k: int, budget: float) -> list[int]:
+        """caps[c] = safe upper bound on |color class c|, exact when feasible."""
+        caps = [0] + [self.n] * k
+        deadline = time.monotonic() + budget
+        for c in range(1, k + 1):
+            if c >= self.diam:
+                caps[c] = 1  # spread beyond the diameter: one vertex per such color
+            elif self.n <= _EXACT_SIZE_LIMIT:
+                try:
+                    caps[c] = self.max_packing(c, max(0.05, deadline - time.monotonic()))
+                except SolveTimeout:
+                    pass  # keep the safe cap n; a later k retries
+        return caps
 
 
 def max_i_packing_size(g: Graph, i: int, budget: float = DEFAULT_BUDGET) -> int:
@@ -144,14 +193,7 @@ def max_i_packing_size(g: Graph, i: int, budget: float = DEFAULT_BUDGET) -> int:
         raise TooLarge(f"exact packing sizes limited to {_EXACT_SIZE_LIMIT} vertices")
     if i < 1:
         raise ValueError("packing index must be >= 1")
-    dm = all_pairs_distances(g).matrix
-    masks = [0] * g.n
-    for a in range(g.n):
-        row = dm[a]
-        for b in range(g.n):
-            if a != b and row[b] > i:  # unreachable sentinel also counts as > i
-                masks[a] |= 1 << b
-    return _max_clique_size(masks, time.monotonic() + budget)
+    return _Metric(g).max_packing(i, budget)
 
 
 def counting_lower_bound(g: Graph) -> int:
@@ -159,17 +201,7 @@ def counting_lower_bound(g: Graph) -> int:
     at least the clique number."""
     if g.n > _EXACT_SIZE_LIMIT:
         raise TooLarge(f"counting bound limited to {_EXACT_SIZE_LIMIT} vertices")
-    n = g.n
-    if n == 0:
-        return 0
-    total = 0  # sum of max i-packing sizes for i = 1..t-1
-    t = 1
-    while True:
-        total += max_i_packing_size(g, t)
-        if total >= n:
-            break
-        t += 1
-    return max(t, _clique_number(g))
+    return _Metric(g).counting_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +229,6 @@ class DecideResult:
     elapsed: float
 
 
-def _capacities(g: Graph, k: int, diam: int, budget: float) -> list[int]:
-    """caps[c] = safe upper bound on |color class c|, exact when feasible."""
-    caps = [0] * (k + 1)
-    deadline = time.monotonic() + budget
-    for c in range(1, k + 1):
-        if c >= diam:
-            caps[c] = 1  # spread beyond the diameter: one vertex per such color
-        elif g.n <= _EXACT_SIZE_LIMIT:
-            try:
-                caps[c] = max_i_packing_size(g, c, max(0.05, deadline - time.monotonic()))
-            except SolveTimeout:
-                caps[c] = g.n
-        else:
-            caps[c] = g.n
-    return caps
-
-
 def is_packing_k_colorable(g: Graph, k: int,
                            constraints: ColorConstraints | None = None,
                            budget: float = DEFAULT_BUDGET) -> DecideResult:
@@ -221,54 +236,37 @@ def is_packing_k_colorable(g: Graph, k: int,
     if k < 1:
         raise ValueError("k must be >= 1")
     start = time.monotonic()
-    deadline = start + budget
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return DecideResult(SAT, {}, 0, 0.0)
     constraints = constraints or ColorConstraints()
     for lab in list(constraints.forbidden) + list(constraints.required):
         if not g.has_vertex(lab):
             raise UnknownLabel(f"constraint on unknown vertex {lab!r}")
+    return _decide(_Metric(g), k, constraints, start, start + budget)
 
-    dm = all_pairs_distances(g).matrix
-    diam_val = int(dm.max())
-    full = (1 << k) - 1
-    avail = [full] * n
+
+def _decide(metric: _Metric, k: int, constraints: ColorConstraints,
+            start: float, deadline: float) -> DecideResult:
+    g, n = metric.g, metric.n
+    avail = [(1 << k) - 1] * n
     for lab, cols in constraints.forbidden.items():
-        v = g.index(lab)
         for col in cols:
             if col <= k:
-                avail[v] &= ~(1 << (col - 1))
+                avail[g.index(lab)] &= ~(1 << (col - 1))
     for lab, col in constraints.required.items():
-        v = g.index(lab)
-        avail[v] &= (1 << (col - 1)) if col <= k else 0
+        avail[g.index(lab)] &= (1 << (col - 1)) if col <= k else 0
 
     # static branch order: degree descending, label tiebreak
     order = sorted(range(n), key=lambda v: (-len(g.neighbor_indices(v)), g.labels[v]))
+    balls = [None] + [metric.ball(c) for c in range(1, k + 1)]
 
-    # balls[c][v]: vertices within distance c of v (excluding v), as bitmask
-    balls = [None] + [[0] * n for _ in range(k)]
-    for v in range(n):
-        row = dm[v]
-        for u in range(n):
-            if u != v:
-                d = int(row[u])
-                for c in range(d, k + 1):
-                    balls[c][v] |= 1 << u
-
-    caps = _capacities(g, k, diam_val, min(5.0, budget / 4))
+    caps = metric.capacities(k, min(5.0, (deadline - start) / 4))
     if sum(caps[1:]) < n:
         return DecideResult(UNSAT, None, 0, time.monotonic() - start)
 
     color_of = [0] * n
     used_count = [0] * (k + 1)
-    count_allow = [0] * (k + 1)
-    for v in range(n):
-        m = avail[v]
-        while m:
-            b = m & -m
-            count_allow[b.bit_length()] += 1
-            m &= ~b
+    count_allow = [0] + [sum(a >> (c - 1) & 1 for a in avail) for c in range(1, k + 1)]
     nodes = 0
     timed_out = False
 
@@ -303,9 +301,8 @@ def is_packing_k_colorable(g: Graph, k: int,
             color_of[v] = c
             used_count[c] += 1
             touched = []
-            ball = balls[c][v]
             dead = False
-            t = ball
+            t = balls[c][v]
             while t:
                 ub = t & -t
                 t &= ~ub
@@ -332,9 +329,7 @@ def is_packing_k_colorable(g: Graph, k: int,
     if found:
         witness = {g.labels[v]: color_of[v] for v in range(n)}
         return DecideResult(SAT, witness, nodes, elapsed)
-    if timed_out:
-        return DecideResult(TIMEOUT, None, nodes, elapsed)
-    return DecideResult(UNSAT, None, nodes, elapsed)
+    return DecideResult(TIMEOUT if timed_out else UNSAT, None, nodes, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +397,9 @@ def chi_rho(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
 
     upper_witness = greedy_packing_coloring(g)
     upper = max_color(upper_witness)
-    if g.n <= _EXACT_SIZE_LIMIT:
-        lower = counting_lower_bound(g)
-    else:
-        lower = 2 if g.edge_count else 1
+    # one context for the bound and every k; past the exact limit, built at the first k
+    metric = _Metric(g) if g.n <= _EXACT_SIZE_LIMIT else None
+    lower = metric.counting_bound() if metric else (2 if g.edge_count else 1)
 
     nodes = 0
     settled = 0
@@ -416,7 +410,8 @@ def chi_rho(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
             status = BOUNDS if settled else TIMEOUT
             return SolveResult(status, k, upper, upper_witness, nodes,
                                time.monotonic() - start)
-        res = is_packing_k_colorable(g, k, budget=remaining)
+        metric = metric or _Metric(g)
+        res = _decide(metric, k, ColorConstraints(), time.monotonic(), deadline)
         nodes += res.nodes_explored
         if res.status == SAT:
             return SolveResult(EXACT, k, k, res.witness, nodes,

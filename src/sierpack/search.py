@@ -55,6 +55,12 @@ class SearchConfig:
     start_temp: float = 1.5
     stagnation_limit: int = 3_000
 
+    def __post_init__(self):
+        for name, least in (("max_color", 1), ("restarts", 1), ("iterations", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+
 
 @dataclass(frozen=True)
 class SearchOutcome:
@@ -109,11 +115,6 @@ class _Context:
                 heat[idx] += defic.sum(axis=1)
         return total, heat
 
-    def _against(self, v: int, members: np.ndarray, color: int) -> int:
-        need = color + 1
-        return int(np.maximum(need - self.pair_d[v, members], 0).sum()
-                   + np.maximum(need - self.pair_b[v, members], 0).sum())
-
     def recolor_costs(self, v: int, colors: np.ndarray,
                       max_color: int) -> np.ndarray:
         """Penalty contribution of vertex v under every color 1..max_color,
@@ -128,16 +129,6 @@ class _Context:
         shades = np.arange(max_color + 1, dtype=np.int64)
         per_class += np.maximum(shades + 1 - int(self.single_b[v]), 0)
         return per_class
-
-    def delta_recolor(self, v: int, old: int, new: int,
-                      classes: list[list[int]]) -> int:
-        olds = np.array([w for w in classes[old] if w != v], dtype=np.intp)
-        news = np.array(classes[new], dtype=np.intp)
-        removed = (self._against(v, olds, old)
-                   + max(old + 1 - int(self.single_b[v]), 0))
-        added = (self._against(v, news, new)
-                 + max(new + 1 - int(self.single_b[v]), 0))
-        return added - removed
 
     def _class_cost(self, members: np.ndarray, color: int) -> int:
         need = color + 1

@@ -51,13 +51,13 @@ def test_dim3_lower_bound():
 
 
 def test_shipped_colorings_verify():
-    rows = cli.check_shipped_colorings(budget=120.0)
+    rows = cli.check_shipped_colorings()
     _assert_rows(rows, each=120.0)
     assert len(rows) == 7
 
 
 def test_lift_certificates():
-    rows = cli.check_lift_certificates(budget=600.0)
+    rows = cli.check_lift_certificates()
     _assert_rows(rows, total=600.0)
     assert len(rows) == 6
 
@@ -80,7 +80,7 @@ def test_block_search_tiers():
 
 
 def test_structural_identities():
-    rows = cli.check_structure(budget=120.0)
+    rows = cli.check_structure()
     _assert_rows(rows, total=120.0)
     assert len(rows) == 4
 

@@ -28,13 +28,18 @@ from sierpack.certify import (
     monotonicity_check,
     tile_coloring,
 )
-from sierpack.graph_core import all_pairs_distances, bfs_distances
+from sierpack.graph_core import (
+    all_pairs_distances,
+    bfs_distances,
+    verify_subgraph_embedding,
+)
 from sierpack.packing import greedy_packing_coloring, max_color, verify_packing_coloring
 from sierpack.sierpinski import (
     UnknownName,
     base_graph_library,
     extreme_vertices,
     gen_generalized,
+    gen_sierpinski,
     gen_triangle,
     triangle_canonical,
 )
@@ -307,6 +312,19 @@ def test_missing_data_file_raises():
         load_coloring("no_such_file.coloring")
     assert load_graph("h.graph").n == 22
     assert len(load_map("hprime_into_s2c4.map").pairs) == 8
+
+
+def test_shipped_embedding_maps_verify():
+    cases = [
+        ("h_into_s3c4.map", load_graph("h.graph"), gen_generalized(3, C4)),
+        ("h_into_s3p4.map", load_graph("h.graph"),
+         gen_generalized(3, base_graph_library("P4"))),
+        ("hprime_into_s2c4.map", load_graph("hprime.graph"), gen_generalized(2, C4)),
+        ("s23_into_s2k4e.map", gen_sierpinski(2, 3), gen_generalized(2, K4E)),
+    ]
+    for name, h, host in cases:
+        check = verify_subgraph_embedding(h, host, load_map(name))
+        assert check.ok, (name, check.failed_edge, check.failed_image)
 
 
 # ------------------------------------------------------------- bound series

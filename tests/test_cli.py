@@ -73,8 +73,15 @@ def test_unknown_subcommand_exits_3(capsys):
      {"c": "00 1\n01 2\n02 4\n11 1\n12 3\n22 2\n"}, "corner colors differ"),
     (["certify", "--family", "triangle", "--m", "1", "c"],
      {"c": "00 1\n01 1\n02 2\n11 1\n12 3\n22 1\n"}, "block pair 00, 01"),
+    (["search", "--family", "triangle", "--m", "2", "--max-color", "0", "-o", "f"],
+     {"f": ""}, "max_color must be >= 1, got 0"),
+    (["search", "--family", "triangle", "--m", "2", "--max-color", "8",
+      "--restarts", "0", "-o", "f"], {"f": ""}, "restarts must be >= 1, got 0"),
+    (["search", "--family", "triangle", "--m", "2", "--max-color", "8",
+      "--iters", "-5", "-o", "f"], {"f": ""}, "iterations must be >= 0, got -5"),
 ], ids=["chi-disconnected", "chi-self-loop", "verify-unknown-label",
-        "decide-unknown-vertex", "certify-corner-mismatch", "certify-invalid-block"])
+        "decide-unknown-vertex", "certify-corner-mismatch", "certify-invalid-block",
+        "search-max-color-0", "search-restarts-0", "search-negative-iters"])
 def test_bad_input_exits_3_with_one_line(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sierpack._naive import naive_chi_rho, random_connected_graphs
+from sierpack import packing
+from sierpack._data import load_graph
+from sierpack._naive import (
+    _fw_distances,
+    naive_chi_rho,
+    naive_is_k_colorable,
+    random_connected_graphs,
+)
 from sierpack.graph_core import (
     DisconnectedGraph,
     UnknownLabel,
@@ -115,6 +122,68 @@ def test_solver_matches_naive_oracle_on_small_suite():
         assert res.lower == res.upper == naive_chi_rho(g)
         assert verify_packing_coloring(g, res.witness).ok
         assert max_color(res.witness) == res.upper
+
+
+def random_graphs_with_isolated_parts(count, seed, n_max=7):
+    """Seeded G(n, p) graphs that are not connected: isolated vertices,
+    or several components."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, n_max)
+        p = rng.uniform(0.1, 0.6)
+        labels = [f"v{i}" for i in range(n)]
+        edges = [(labels[i], labels[j]) for i in range(n)
+                 for j in range(i + 1, n) if rng.random() < p]
+        g = build_graph(labels, edges)
+        if any(d == float("inf") for row in _fw_distances(g) for d in row):
+            out.append(g)
+    return out
+
+
+def brute_max_packing(g, i):
+    d = _fw_distances(g)
+    return max(r for r in range(1, g.n + 1)
+               for sub in itertools.combinations(range(g.n), r)
+               if all(d[a][b] > i for a, b in itertools.combinations(sub, 2)))
+
+
+def test_decide_and_max_packing_match_oracles_on_connected_and_split_graphs():
+    graphs = (random_connected_graphs(30, seed=2718, n_max=8)
+              + random_graphs_with_isolated_parts(40, seed=2718, n_max=8))
+    for g in graphs:
+        for k in range(1, g.n + 1):
+            want = SAT if naive_is_k_colorable(g, k) else UNSAT
+            assert is_packing_k_colorable(g, k).status == want, (g.edges(), k)
+        for i in (1, 2, 3, 4):
+            assert max_i_packing_size(g, i) == brute_max_packing(g, i), (g.edges(), i)
+
+
+@pytest.mark.parametrize("run, status, nodes", [
+    (lambda: chi_rho(gen_triangle(2)), EXACT, 79_488),
+    (lambda: chi_rho(gen_generalized(2, base_graph_library("K4E"))), EXACT, 15_784),
+    (lambda: is_packing_k_colorable(gen_triangle(2), 7), UNSAT, 63_288),
+    (lambda: is_packing_k_colorable(load_graph("h.graph"), 4), UNSAT, 1_405),
+], ids=["chi-ST2", "chi-S2K4E", "decide-ST2-k7", "decide-H-k4"])
+def test_search_tree_is_pinned(run, status, nodes):
+    # exact node counts: any change to the branch order, the balls or the
+    # capacities changes the tree, and must show up here
+    res = run()
+    assert (res.status, res.nodes_explored) == (status, nodes)
+
+
+def test_chi_rho_builds_one_distance_matrix(monkeypatch):
+    sizes = []
+    real = packing.all_pairs_distances
+
+    def counted(g, *args, **kwargs):
+        sizes.append(g.n)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(packing, "all_pairs_distances", counted)
+    res = chi_rho(gen_triangle(2))
+    assert res.status == EXACT and res.upper == 8
+    assert sizes == [15]
 
 
 def test_decision_solver_basics():
