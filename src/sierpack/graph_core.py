@@ -7,7 +7,7 @@ with numpy; everything user-facing speaks labels.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,14 +328,19 @@ def format_graph_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def text_records(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, raw line, fields) of each line that is neither blank nor
+    a '#' comment: the shared skeleton of the graph, map and coloring files."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, raw, parts
+
+
 def parse_graph_text(text: str) -> Graph:
     labels: list[str] = []
     edges: list[tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, raw, parts in text_records(text):
         if parts[0] == "v" and len(parts) == 2:
             labels.append(parts[1])
         elif parts[0] == "e" and len(parts) == 3:
@@ -361,11 +366,7 @@ def format_map_text(m: EmbeddingMap) -> str:
 
 def parse_map_text(text: str) -> EmbeddingMap:
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    for lineno, raw, parts in text_records(text):
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected '<from> <to>', got {raw!r}")
         if parts[0] in pairs:

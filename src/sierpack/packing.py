@@ -20,12 +20,15 @@ import numpy as np
 
 from .graph_core import (
     DisconnectedGraph,
+    DuplicateLabel,
+    FormatError,
     Graph,
     GraphError,
     TooLarge,
     UnknownLabel,
     all_pairs_distances,
     bfs_distances,
+    text_records,
 )
 
 EXACT = "EXACT"
@@ -434,18 +437,15 @@ def format_coloring_text(c: Coloring) -> str:
 
 
 def parse_coloring_text(text: str) -> dict[str, int]:
-    from .graph_core import DuplicateLabel, FormatError
     out: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+    for lineno, raw, parts in text_records(text):
+        # isascii: str.isdigit alone also accepts '²' (int() fails) and '٣' (read as 3)
+        color = parts[1] if len(parts) == 2 and parts[1].isascii() else ""
+        if not color.isdigit() or int(color) < 1:
             raise FormatError(f"line {lineno}: expected '<label> <color>=1..', got {raw!r}")
         if parts[0] in out:
             raise DuplicateLabel(f"line {lineno}: {parts[0]!r} colored twice")
-        out[parts[0]] = int(parts[1])
+        out[parts[0]] = int(color)
     return out
 
 

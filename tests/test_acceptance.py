@@ -1,6 +1,6 @@
 """Headline acceptance suite: one test per reproduction criterion.
 
-Each test drives the same check functions as `sierpack reproduce`,
+Each test runs a slice of the check table behind `sierpack reproduce`,
 asserts every row passes (degraded rows count, informational rows are
 exempt), and enforces the documented time budgets.  Environment knobs:
 SIERPACK_C3_BUDGET extends the direct 48-vertex solve before the
@@ -10,7 +10,12 @@ seeds if the deterministic replays ever miss the target bound.
 
 import os
 
-from sierpack import cli
+from sierpack import reproduce
+
+
+def _run(*prefixes, **settings):
+    return reproduce.run_checks(reproduce.select(*prefixes),
+                                reproduce.Settings(**settings))
 
 
 def _show(rows):
@@ -31,46 +36,46 @@ def _assert_rows(rows, each=None, total=None):
 
 
 def test_exact_small_values():
-    rows = cli.check_exact_small_values(budget=60.0)
+    rows = _run("solver.")
     _assert_rows(rows, each=60.0)
     assert len(rows) == 16
 
 
 def test_infeasible_subgraphs():
-    rows = cli.check_infeasible_subgraphs(budget=300.0)
+    rows = _run("unsat.")
     _assert_rows(rows, each=300.0)
     assert len(rows) == 5
 
 
 def test_dim3_lower_bound():
     direct = float(os.environ.get("SIERPACK_C3_BUDGET", "90"))
-    rows = cli.check_dim3_lower_bound(direct_budget=direct)
+    rows = _run("lower.dim3", c3_budget=direct)
     _assert_rows(rows)
     verdict = [r for r in rows if r.name == "lower.dim3"]
     assert verdict and verdict[0].status in ("pass", "degraded"), _show(rows)
 
 
 def test_shipped_colorings_verify():
-    rows = cli.check_shipped_colorings()
+    rows = _run("verify.")
     _assert_rows(rows, each=120.0)
     assert len(rows) == 7
 
 
 def test_lift_certificates():
-    rows = cli.check_lift_certificates()
+    rows = _run("cert.", "tile.")
     _assert_rows(rows, total=600.0)
     assert len(rows) == 6
 
 
 def test_bound_sequence_machinery():
-    rows = cli.check_bound_sequence(budget=600.0)
+    rows = _run("bounds.")
     _assert_rows(rows, each=600.0)
     assert len(rows) == 3
 
 
 def test_block_search_tiers():
     extra = float(os.environ.get("SIERPACK_SEARCH_BUDGET", "0"))
-    rows = cli.check_block_search(extra_budget=extra)
+    rows = _run("search.", search_budget=extra)
     hard = [r for r in rows if r.name == "search.certified"]
     assert hard and hard[0].status == "pass", _show(rows)
     # the target bound is best-effort; record it, fail only on unsoundness
@@ -80,11 +85,11 @@ def test_block_search_tiers():
 
 
 def test_structural_identities():
-    rows = cli.check_structure()
+    rows = _run("structure.")
     _assert_rows(rows, total=120.0)
     assert len(rows) == 4
 
 
 def test_solver_matches_bruteforce():
-    rows = cli.check_solver_against_naive(count=100, seed=7, budget=600.0)
+    rows = _run("oracle.")
     _assert_rows(rows, total=600.0)

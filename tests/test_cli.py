@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from sierpack import cli
+from sierpack import cli, reproduce
 from sierpack._data import _read
 from sierpack.certify import lower_bound_sequence
 from sierpack.graph_core import read_graph
-from sierpack.packing import read_coloring
+from sierpack.packing import DecideResult, read_coloring
 
 
 def run_cli(argv, capsys):
@@ -230,6 +230,18 @@ def test_certify_shipped_block_is_certified(tmp_path, capsys):
     assert "color 3 margin 1" in out
 
 
+def test_certify_json_reports_elapsed_time(tmp_path, capsys):
+    block = tmp_path / "fig7.coloring"
+    block.write_text(_read("fig7_s2k13.coloring"))
+    code, out, _ = run_cli(["certify", "--family", "generalized", "--base",
+                            "K13", "--m", "2", "--json", str(block)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["elapsed"] > 0
+    assert doc["results"][0]["elapsed"] > 0
+    assert str(block) in doc["inputs"]
+
+
 def test_certify_refuted_block_exits_1(tmp_path, capsys):
     block = tmp_path / "fig14.coloring"
     block.write_text(_read("fig14_st2.coloring"))
@@ -289,6 +301,7 @@ def test_search_json_reports_bound(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"][0]["detail"] == "certified bound 3"
+    assert doc["elapsed"] > 0 and doc["results"][0]["elapsed"] > 0
 
 
 # -------------------------------------------------------------- manifest
@@ -296,22 +309,22 @@ def test_search_json_reports_bound(tmp_path, capsys):
 
 def test_manifest_pass_fail_logic():
     rows = [
-        cli.CheckRow("a", "first", "pass", 0.1),
-        cli.CheckRow("b", "second", "degraded", 0.2, "fallback path"),
-        cli.CheckRow("c", "third", "report", 0.0, "informational"),
+        reproduce.CheckRow("a", "first", "pass", 0.1),
+        reproduce.CheckRow("b", "second", "degraded", 0.2, "fallback path"),
+        reproduce.CheckRow("c", "third", "report", 0.0, "informational"),
     ]
-    manifest = cli.RunManifest(command=["sierpack", "reproduce"],
-                               results=rows)
+    manifest = reproduce.RunManifest(command=["sierpack", "reproduce"],
+                                     results=rows)
     assert manifest.passed
-    manifest.results.append(cli.CheckRow("d", "fourth", "fail", 0.0))
+    manifest.results.append(reproduce.CheckRow("d", "fourth", "fail", 0.0))
     assert not manifest.passed
 
 
 def test_manifest_text_table_shows_verdict_and_counts():
-    manifest = cli.RunManifest(
+    manifest = reproduce.RunManifest(
         command=["sierpack"],
-        results=[cli.CheckRow("a", "first", "pass", 0.1),
-                 cli.CheckRow("c", "third", "report", 0.0, "extra")])
+        results=[reproduce.CheckRow("a", "first", "pass", 0.1),
+                 reproduce.CheckRow("c", "third", "report", 0.0, "extra")])
     table = manifest.text_table()
     # report rows are listed but excluded from the tally
     assert "PASSED 1/1 checks" in table
@@ -319,18 +332,40 @@ def test_manifest_text_table_shows_verdict_and_counts():
 
 
 def test_manifest_json_round_trip():
-    manifest = cli.RunManifest(
+    manifest = reproduce.RunManifest(
         command=["sierpack", "chi"],
         inputs={"g.graph": "00" * 32},
-        results=[cli.CheckRow("chi", "value", "pass", 1.234, "chi_rho = 4")])
+        results=[reproduce.CheckRow("chi", "value", "pass", 1.234, "chi_rho = 4")])
     doc = json.loads(manifest.to_json())
     assert doc["version"] == cli.__version__
     assert doc["inputs"] == {"g.graph": "00" * 32}
     assert doc["results"][0]["elapsed"] == 1.234
 
 
+def test_reproduce_manifest_records_settings(monkeypatch):
+    monkeypatch.setenv("SIERPACK_C3_BUDGET", "42")
+    monkeypatch.delenv("SIERPACK_SEARCH_BUDGET", raising=False)
+    settings = reproduce.Settings.from_env("quick", threads=2)
+    assert settings.c3_budget == 42.0
+    doc = json.loads(reproduce.new_manifest(["sierpack", "reproduce"],
+                                            settings).to_json())
+    got = doc["settings"]
+    assert got["profile"] == "quick" and got["threads"] == 2
+    assert got["c3_budget"] == {"seconds": 42.0,
+                                "source": "SIERPACK_C3_BUDGET"}
+    assert got["search_budget"] == {"seconds": 0.0, "source": "default"}
+    assert got["python"].count(".") == 2 and got["numpy"]
+    assert len(doc["inputs"]) == 13
+    monkeypatch.delenv("SIERPACK_C3_BUDGET")
+    full = reproduce.Settings.from_env("full").as_dict()
+    assert full["c3_budget"] == {"seconds": 3600.0, "source": "default"}
+    monkeypatch.setenv("SIERPACK_SEARCH_BUDGET", "soon")
+    with pytest.raises(ValueError, match="SIERPACK_SEARCH_BUDGET"):
+        reproduce.Settings.from_env("quick")
+
+
 def test_packaged_data_hashes_are_complete():
-    hashes = cli._hash_data_files()
+    hashes = reproduce._hash_data_files()
     assert len(hashes) == 13
     assert all(len(h) == 64 for h in hashes.values())
 
@@ -339,42 +374,111 @@ def test_packaged_data_hashes_are_complete():
 
 
 def test_shipped_coloring_checks_all_pass():
-    rows = cli.check_shipped_colorings()
+    rows = reproduce.run_checks(reproduce.select("verify."))
     assert len(rows) == 7
     assert all(r.status == "pass" for r in rows)
 
 
 def test_small_oracle_check_passes_quickly():
-    (row,) = cli.check_solver_against_naive(count=5, seed=11)
+    (row,) = reproduce.run_checks(["oracle.random"])
     assert row.status == "pass"
 
 
 def test_placement_search_on_full_graph_finds_nothing():
-    s3 = cli._family_graph("S3_K4E")
+    s3 = reproduce._family_graph("S3_K4E")
     from sierpack.graph_core import induced_subgraph
 
-    side3 = cli._side_blocks("3")
-    side1 = cli._side_blocks("1")
+    side3 = reproduce._side_blocks("3")
+    side1 = reproduce._side_blocks("1")
     union = induced_subgraph(
         s3, [lab for blocks in (side3, side1) for b in blocks for lab in b])
-    found, _ = cli._seven_placement_exists(union, side3, side1)
+    found, _ = reproduce._seven_placement_exists(union, side3, side1)
     assert not found
 
 
 def test_placement_search_succeeds_when_relaxed():
     # same enumeration on the whole 64-vertex graph: the two extra
     # middle squares add shortcuts but also distant placements
-    s3 = cli._family_graph("S3_K4E")
-    side3 = cli._side_blocks("3")
-    side1 = cli._side_blocks("1")
+    s3 = reproduce._family_graph("S3_K4E")
+    side3 = reproduce._side_blocks("3")
+    side1 = reproduce._side_blocks("1")
     # distances measured in the full graph are never larger, so if even
     # this relaxation finds nothing the union certainly has nothing
-    found, _ = cli._seven_placement_exists(s3, side3, side1)
+    found, _ = reproduce._seven_placement_exists(s3, side3, side1)
     assert not found
 
 
 def test_digit_swap_isomorphism_holds():
-    s3 = cli._family_graph("S3_K4E")
-    a, *_ = cli._side_graph(s3, "3")
-    b, *_ = cli._side_graph(s3, "1")
-    assert cli._digit_swap_iso(a, b)
+    s3 = reproduce._family_graph("S3_K4E")
+    a, *_ = reproduce._side_graph(s3, "3")
+    b, *_ = reproduce._side_graph(s3, "1")
+    assert reproduce._digit_swap_iso(a, b)
+    # side 3 is not mapped onto itself: the swap moves its labels to side 1
+    assert not reproduce._digit_swap_iso(a, a)
+
+
+# ------------------------------------------------------------ check table
+
+
+def test_table_names_are_unique_and_premises_come_first():
+    seen = set()
+    for check in reproduce.TABLE:
+        assert check.name not in seen, check.name
+        assert set(check.premises) <= seen, check.name
+        seen.add(check.name)
+
+
+def _fake_table(calls, premise_status):
+    def check(name, status, premises=()):
+        def run(ctx):
+            calls.append(name)
+            return reproduce.Outcome(status, "")
+        return reproduce.Check(name, "claim", run, premises)
+    return (check("a", premise_status), check("b", "pass", ("a",)),
+            check("c", "pass", ("a", "b")), check("d", "pass"))
+
+
+def test_runner_runs_each_premise_once_in_table_order():
+    calls = []
+    rows = reproduce.run_checks(["c", "b"], table=_fake_table(calls, "report"))
+    assert calls == ["a", "b", "c"]
+    assert [(r.name, r.status) for r in rows] == [
+        ("a", "report"), ("b", "pass"), ("c", "pass")]
+    with pytest.raises(ValueError, match="'e'"):
+        reproduce.run_checks(["e"], table=_fake_table([], "pass"))
+
+
+def test_row_fails_without_running_when_its_premise_fails():
+    calls = []
+    rows = reproduce.run_checks(["c"], table=_fake_table(calls, "fail"))
+    assert calls == ["a"]
+    assert [r.status for r in rows] == ["fail", "fail", "fail"]
+    assert rows[2].detail == "premise failed: a, b"
+
+
+def test_side3_banned_color_facts_are_solved_once(monkeypatch):
+    # the degraded dimension-3 verdict reads the unsat.side3.k7.* rows
+    # instead of solving the same banned-color instances again
+    side3 = reproduce._family_graph("side3")
+    current, banned_solves = [], []
+
+    def fake_decide(g, k, constraints=None, budget=0.0):
+        if g == side3 and k == 7 and constraints and constraints.forbidden:
+            banned_solves.append(current[-1])
+        status = "TIMEOUT" if g.n == 48 else "UNSAT"
+        return DecideResult(status, None, 0, 0.0)
+
+    def tracked(check):
+        def run(ctx):
+            current.append(check.name)
+            return check.run(ctx)
+        return reproduce.Check(check.name, check.claim, run, check.premises)
+
+    monkeypatch.setattr(reproduce, "is_packing_k_colorable", fake_decide)
+    table = [tracked(c) for c in reproduce.TABLE
+             if c.name.startswith(("unsat.", "lower.dim3"))]
+    rows = reproduce.run_checks([c.name for c in table], table=table)
+    assert banned_solves == ["unsat.side3.k7.ban03", "unsat.side3.k7.ban23"]
+    verdict = rows[-1]
+    assert (verdict.name, verdict.status) == ("lower.dim3", "degraded")
+    assert "unsat.side3.k7.ban03" in verdict.detail

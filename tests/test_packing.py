@@ -285,5 +285,11 @@ def test_coloring_text_roundtrip():
         parse_coloring_text("00 zero\n")
     with pytest.raises(FormatError):
         parse_coloring_text("00 0\n")
+    # non-ASCII digits: '²' used to escape as a bare ValueError from int(),
+    # and '٣' used to be read as color 3
+    with pytest.raises(FormatError, match="line 2"):
+        parse_coloring_text("01 1\n00 \u00b2\n")
+    with pytest.raises(FormatError, match="line 1"):
+        parse_coloring_text("00 \u0663\n")
     with pytest.raises(DuplicateLabel):
         parse_coloring_text("00 1\n00 2\n")
