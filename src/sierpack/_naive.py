@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .graph_core import DistanceMatrix, Graph, all_pairs_distances, build_graph
 from .sierpinski import BaseGraph, extreme_vertices, gen_generalized, gen_triangle
@@ -39,17 +39,25 @@ def _fw_distances(g: Graph) -> list[list[float]]:
     return d
 
 
-def naive_is_k_colorable(g: Graph, k: int) -> bool:
+def naive_is_k_colorable(g: Graph, k: int,
+                         forbidden: Mapping[str, Iterable[int]] | None = None,
+                         required: Mapping[str, int] | None = None) -> bool:
+    """Plain backtracking in label order; `forbidden` bans colors on a
+    vertex, `required` pins a vertex to one color (which may exceed k)."""
     n = g.n
     if n == 0:
         return True
     d = _fw_distances(g)
     colors = [0] * n
+    forbidden, required = forbidden or {}, required or {}
+    allowed = [[c for c in range(1, k + 1)
+                if c not in forbidden.get(lab, ()) and required.get(lab, c) == c]
+               for lab in g.labels]
 
     def bt(i: int) -> bool:
         if i == n:
             return True
-        for c in range(1, k + 1):
+        for c in allowed[i]:
             if all(colors[j] != c or d[i][j] > c for j in range(i)):
                 colors[i] = c
                 if bt(i + 1):

@@ -260,7 +260,12 @@ def _echo(args) -> list[str]:
     return list(getattr(args, "_argv", []))
 
 
-def build_parser() -> _Parser:
+def _global_flags() -> argparse.ArgumentParser:
+    """The flags taken before or after the subcommand.  Their defaults are
+    suppressed, so a subcommand's parse leaves a value given before it in
+    place.  Parents share their action objects with the parsers built from
+    them, so each parser needs its own copy: the top-level `set_defaults`
+    would otherwise give the subcommands those defaults too."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--timeout", type=float, metavar="SECS",
                         default=argparse.SUPPRESS,
@@ -274,18 +279,22 @@ def build_parser() -> _Parser:
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit the run manifest as JSON")
+    return common
 
+
+def build_parser() -> _Parser:
     parser = _Parser(prog="sierpack",
                      description="Packing colorings of Sierpinski-type "
                                  "graphs: generation, exact solving, lift "
                                  "certificates, and stochastic search.",
-                     parents=[common])
+                     parents=[_global_flags()])
     parser.set_defaults(timeout=DEFAULT_BUDGET, threads=1, quiet=False,
                         json=False)
     parser.add_argument("--version", action="version",
                         version=f"sierpack {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
+    common = _global_flags()
 
     p = sub.add_parser("gen", parents=[common],
                        help="write a family member as a graph file")

@@ -1,12 +1,14 @@
 """Packing-coloring verification and exact solving.
 
 A packing coloring assigns colors >= 1 so that two vertices sharing color i
-are at distance > i.  The solver is a branch-and-bound over a fixed vertex
-order (degree descending, label tiebreak) with ascending color trial,
-forward checking on per-vertex color masks, and per-color capacity pruning
-from exact maximum i-packing sizes, all read from one per-graph context,
-`_Metric`, that `chi_rho` reuses for every k.  UNSAT answers are only
-reported when the tree is exhausted within budget.
+are at distance > i.  The solver is a branch-and-bound that branches at
+every node on the uncolored vertex with the fewest colors left (MRV; ties
+go to the higher static rank: degree descending, then label) and tries its
+colors from highest to lowest, with forward checking on per-vertex color
+masks and per-color capacity pruning from exact maximum i-packing sizes,
+all read from one per-graph context, `_Metric`, that `chi_rho` reuses for
+every k.  UNSAT answers are only reported when the tree is exhausted within
+budget.
 """
 
 from __future__ import annotations
@@ -259,8 +261,8 @@ def _decide(metric: _Metric, k: int, constraints: ColorConstraints,
     for lab, col in constraints.required.items():
         avail[g.index(lab)] &= (1 << (col - 1)) if col <= k else 0
 
-    # static branch order: degree descending, label tiebreak
-    order = sorted(range(n), key=lambda v: (-len(g.neighbor_indices(v)), g.labels[v]))
+    # static rank, the MRV tiebreak: degree descending, then label
+    by_rank = sorted(range(n), key=lambda v: (-len(g.neighbor_indices(v)), g.labels[v]))
     balls = [None] + [metric.ball(c) for c in range(1, k + 1)]
 
     caps = metric.capacities(k, min(5.0, (deadline - start) / 4))
@@ -292,12 +294,19 @@ def _decide(metric: _Metric, k: int, constraints: ColorConstraints,
             return False
         if depth == n:
             return True
-        v = order[depth]
+        # branch on the uncolored vertex with the fewest colors left; the
+        # scan runs in rank order, so the first of equals wins the tie
+        v, least = -1, k + 1
+        for u in by_rank:
+            if color_of[u] == 0:
+                size = avail[u].bit_count()
+                if size < least:
+                    v, least = u, size
         m = avail[v]
         while m:
-            b = m & -m
-            m &= ~b
-            c = b.bit_length()
+            c = m.bit_length()  # highest color first
+            b = 1 << (c - 1)
+            m ^= b
             if used_count[c] >= caps[c]:
                 continue
             # place v in class c; forward-prune c from its c-ball

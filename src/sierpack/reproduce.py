@@ -373,7 +373,8 @@ def _dim3_direct(ctx: Context) -> Outcome:
         return Outcome("pass", f"exhaustive, {res.nodes_explored} nodes")
     if res.status == SAT:
         return Outcome("fail", "solver found a 7-coloring")
-    return Outcome("report", f"direct solve exceeded {budget:.0f}s, degrading")
+    return Outcome("report", f"direct solve exceeded {budget:.0f}s"
+                   f" after {res.nodes_explored} nodes, degrading")
 
 
 def _dim3_iso(ctx: Context) -> Outcome:

@@ -116,6 +116,20 @@ def test_chi_budget_expiry_exits_2(tmp_path, capsys):
     assert "bounds" in out
 
 
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_global_flags_work_on_either_side_of_the_subcommand(before, tmp_path, capsys):
+    big = tmp_path / "st2.graph"
+    run_cli(["gen", "--family", "triangle", "--n", "2", "-o", str(big)],
+            capsys)
+    flags = ["--timeout", "0.01", "--json"]
+    argv = flags + ["chi", str(big)] if before else ["chi", str(big)] + flags
+    assert cli.build_parser().parse_args(argv).timeout == 0.01
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 2
+    (row,) = json.loads(out)["results"]
+    assert row["name"] == "chi" and row["status"] == "report"
+
+
 def test_chi_missing_file_exits_3(capsys):
     code, _, err = run_cli(["chi", "/no/such/file.graph"], capsys)
     assert code == 3
@@ -465,8 +479,9 @@ def test_side3_banned_color_facts_are_solved_once(monkeypatch):
     def fake_decide(g, k, constraints=None, budget=0.0):
         if g == side3 and k == 7 and constraints and constraints.forbidden:
             banned_solves.append(current[-1])
-        status = "TIMEOUT" if g.n == 48 else "UNSAT"
-        return DecideResult(status, None, 0, 0.0)
+        if g.n == 48:
+            return DecideResult("TIMEOUT", None, 1234, 0.0)
+        return DecideResult("UNSAT", None, 0, 0.0)
 
     def tracked(check):
         def run(ctx):
@@ -479,6 +494,8 @@ def test_side3_banned_color_facts_are_solved_once(monkeypatch):
              if c.name.startswith(("unsat.", "lower.dim3"))]
     rows = reproduce.run_checks([c.name for c in table], table=table)
     assert banned_solves == ["unsat.side3.k7.ban03", "unsat.side3.k7.ban23"]
+    (direct,) = [r for r in rows if r.name == "lower.dim3.direct"]
+    assert direct.detail == "direct solve exceeded 15s after 1234 nodes, degrading"
     verdict = rows[-1]
     assert (verdict.name, verdict.status) == ("lower.dim3", "degraded")
     assert "unsat.side3.k7.ban03" in verdict.detail

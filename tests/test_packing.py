@@ -42,6 +42,7 @@ from sierpack.packing import (
     parse_coloring_text,
     verify_packing_coloring,
 )
+from sierpack.reproduce import _family_graph
 from sierpack.sierpinski import (
     base_graph_library,
     gen_generalized,
@@ -159,14 +160,38 @@ def test_decide_and_max_packing_match_oracles_on_connected_and_split_graphs():
             assert max_i_packing_size(g, i) == brute_max_packing(g, i), (g.edges(), i)
 
 
+def test_constrained_decisions_match_oracle():
+    # random forbidden/required sets: a required vertex has a one-color
+    # domain, or an empty one when its color exceeds k
+    rng = random.Random(1618)
+    for g in random_connected_graphs(40, seed=1618, n_max=8):
+        required = {lab: rng.randint(1, g.n + 1)
+                    for lab in rng.sample(g.labels, rng.randint(0, 2))}
+        forbidden = {}
+        for lab in rng.sample(g.labels, rng.randint(0, min(3, g.n))):
+            cols = frozenset(rng.sample(range(1, g.n + 1), rng.randint(1, 2)))
+            forbidden[lab] = cols - {required.get(lab)}
+        cons = ColorConstraints(forbidden=forbidden, required=required)
+        for k in range(1, g.n + 1):
+            want = SAT if naive_is_k_colorable(g, k, forbidden, required) else UNSAT
+            res = is_packing_k_colorable(g, k, cons)
+            assert res.status == want, (g.edges(), k, forbidden, required)
+            if res.status == SAT:
+                w = res.witness
+                assert verify_packing_coloring(g, w).ok and max_color(w) <= k
+                assert all(w[lab] == col for lab, col in required.items())
+                assert all(w[lab] not in cols for lab, cols in forbidden.items())
+
+
 @pytest.mark.parametrize("run, status, nodes", [
-    (lambda: chi_rho(gen_triangle(2)), EXACT, 79_488),
-    (lambda: chi_rho(gen_generalized(2, base_graph_library("K4E"))), EXACT, 15_784),
-    (lambda: is_packing_k_colorable(gen_triangle(2), 7), UNSAT, 63_288),
-    (lambda: is_packing_k_colorable(load_graph("h.graph"), 4), UNSAT, 1_405),
-], ids=["chi-ST2", "chi-S2K4E", "decide-ST2-k7", "decide-H-k4"])
+    (lambda: chi_rho(gen_triangle(2)), EXACT, 43_655),
+    (lambda: chi_rho(gen_generalized(2, base_graph_library("K4E"))), EXACT, 1_773),
+    (lambda: is_packing_k_colorable(gen_triangle(2), 7), UNSAT, 40_312),
+    (lambda: is_packing_k_colorable(load_graph("h.graph"), 4), UNSAT, 282),
+    (lambda: is_packing_k_colorable(_family_graph("side3"), 6), UNSAT, 10_716),
+], ids=["chi-ST2", "chi-S2K4E", "decide-ST2-k7", "decide-H-k4", "decide-side3-k6"])
 def test_search_tree_is_pinned(run, status, nodes):
-    # exact node counts: any change to the branch order, the balls or the
+    # exact node counts: any change to the branching rule, the balls or the
     # capacities changes the tree, and must show up here
     res = run()
     assert (res.status, res.nodes_explored) == (status, nodes)
