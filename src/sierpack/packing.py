@@ -3,12 +3,12 @@
 A packing coloring assigns colors >= 1 so that two vertices sharing color i
 are at distance > i.  The solver is a branch-and-bound that branches at
 every node on the uncolored vertex with the fewest colors left (MRV; ties
-go to the higher static rank: degree descending, then label) and tries its
-colors from highest to lowest, with forward checking on per-vertex color
-masks and per-color capacity pruning from exact maximum i-packing sizes,
-all read from one per-graph context, `_Metric`, that `chi_rho` reuses for
-every k.  UNSAT answers are only reported when the tree is exhausted within
-budget.
+go to the higher static rank: eccentricity ascending, then degree
+descending, then label) and tries its colors from highest to lowest, with
+forward checking on per-vertex color masks and per-color capacity pruning
+from exact maximum i-packing sizes, all read from one per-graph context,
+`_Metric`, that `chi_rho` reuses for every k.  UNSAT answers are only
+reported when the tree is exhausted within budget.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_core import (
+    UNREACHABLE,
     DisconnectedGraph,
     DuplicateLabel,
     FormatError,
@@ -141,13 +142,16 @@ def _max_clique_size(masks: Sequence[int], deadline: float | None = None) -> int
 class _Metric:
     """One graph's distance context, derived once and shared by the bounds,
     the capacities and the branch-and-bound of every k: the all-pairs
-    matrix, the radius-c balls and the exact maximum i-packing sizes."""
+    matrix, the eccentricities, the radius-c balls and the exact maximum
+    i-packing sizes."""
 
     def __init__(self, g: Graph):
         self.g = g
         self.n = g.n
         self.dm = all_pairs_distances(g).matrix
         self.diam = int(self.dm.max(initial=0))
+        # within each vertex's own component, so disconnected graphs rank too
+        self.ecc = np.where(self.dm == UNREACHABLE, 0, self.dm).max(axis=1, initial=0)
         self._balls: dict[int, list[int]] = {}
         self._packing: dict[int, int] = {}
 
@@ -261,8 +265,11 @@ def _decide(metric: _Metric, k: int, constraints: ColorConstraints,
     for lab, col in constraints.required.items():
         avail[g.index(lab)] &= (1 << (col - 1)) if col <= k else 0
 
-    # static rank, the MRV tiebreak: degree descending, then label
-    by_rank = sorted(range(n), key=lambda v: (-len(g.neighbor_indices(v)), g.labels[v]))
+    # static rank, the MRV tiebreak: central vertices first (eccentricity
+    # ascending), then degree descending, then label
+    ecc = metric.ecc.tolist()
+    by_rank = sorted(range(n), key=lambda v: (ecc[v], -len(g.neighbor_indices(v)),
+                                              g.labels[v]))
     balls = [None] + [metric.ball(c) for c in range(1, k + 1)]
 
     caps = metric.capacities(k, min(5.0, (deadline - start) / 4))

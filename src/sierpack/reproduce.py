@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import platform
 import re
@@ -30,7 +31,7 @@ from ._naive import naive_chi_rho, random_connected_graphs
 from .certify import (CERTIFIED, EMPIRICAL, CertifyError, build_k4e_eleven_coloring,
                       certify_generalized_tiling, lower_bound_closed_form,
                       lower_bound_sequence, monotonicity_check, tile_coloring)
-from .graph_core import Graph, GraphError, all_pairs_distances, diameter, induced_subgraph
+from .graph_core import Graph, GraphError, diameter, induced_subgraph
 from .packing import (EXACT, SAT, UNSAT, ColorConstraints, chi_rho, is_packing_k_colorable,
                       max_color, verify_packing_coloring)
 from .search import SearchConfig, search_certified_coloring
@@ -63,7 +64,7 @@ class CheckRow:
 
     name: str
     claim: str
-    status: str  # pass | fail | degraded | report
+    status: str  # pass | fail | report
     elapsed: float
     detail: str = ""
 
@@ -73,8 +74,7 @@ class RunManifest:
     """Machine-readable record of a CLI run.
 
     Rows with status `report` are informational and never affect the
-    exit code; `degraded` counts as a pass (the row's detail says what
-    replaced the primary check).
+    exit code.
     """
 
     command: list[str]
@@ -86,8 +86,7 @@ class RunManifest:
 
     @property
     def passed(self) -> bool:
-        return all(r.status in ("pass", "degraded")
-                   for r in self.results if r.status != "report")
+        return all(r.status != "fail" for r in self.results)
 
     def to_json(self) -> str:
         payload = {
@@ -114,7 +113,7 @@ class RunManifest:
                          f"  ({r.elapsed:.1f}s){tail}")
         verdict = "PASSED" if self.passed else "FAILED"
         counted = [r for r in self.results if r.status != "report"]
-        good = sum(r.status in ("pass", "degraded") for r in counted)
+        good = sum(r.status == "pass" for r in counted)
         lines.append(f"{verdict} {good}/{len(counted)} checks"
                      f" in {self.elapsed:.1f}s ({__version__})")
         return "\n".join(lines)
@@ -158,10 +157,13 @@ def _env_seconds(var: str, default: float) -> tuple[float, str]:
     if raw is None:
         return default, "default"
     try:
-        return float(raw), var
+        seconds = float(raw)
     except ValueError:
-        raise ValueError(f"{var} must be a number of seconds,"
-                         f" got {raw!r}") from None
+        seconds = math.nan
+    if not 0 <= seconds < math.inf:
+        raise ValueError(f"{var} must be a finite number of seconds >= 0,"
+                         f" got {raw!r}")
+    return seconds, var
 
 
 def _hash_data_files() -> dict[str, str]:
@@ -191,7 +193,7 @@ def new_manifest(command: Sequence[str], settings: Settings) -> RunManifest:
 
 
 class Outcome(NamedTuple):
-    status: str  # pass | fail | degraded | report
+    status: str  # pass | fail | report
     detail: str
     value: Any = None  # what later rows read: a depth, a bound
 
@@ -242,7 +244,7 @@ def _family_graph(name: str) -> Graph:
     if name.endswith(".graph"):
         return load_graph(name)
     if m := re.fullmatch(r"side(\d)", name):
-        return _side_graph(_family_graph("S3_K4E"), m[1])[0]
+        return induced_subgraph(_family_graph("S3_K4E"), _side_labels(m[1]))
     if m := re.fullmatch(r"K_(\d+)", name):
         return gen_sierpinski(1, int(m[1]))
     if m := re.fullmatch(r"ST(\d+)", name):
@@ -255,17 +257,11 @@ def _family_graph(name: str) -> Graph:
     raise ValueError(f"no instance named {name!r}")
 
 
-def _side_blocks(digit: str) -> tuple[list[str], list[str], list[str]]:
-    """Label blocks dS^2, 0dS^1, 2dS^1 inside S^3 over a 4-letter alphabet."""
-    big = [digit + a + b for a in "0123" for b in "0123"]
-    lo = ["0" + digit + a for a in "0123"]
-    hi = ["2" + digit + a for a in "0123"]
-    return big, lo, hi
-
-
-def _side_graph(s3, digit: str):
-    big, lo, hi = _side_blocks(digit)
-    return induced_subgraph(s3, big + lo + hi), big, lo, hi
+def _side_labels(digit: str) -> list[str]:
+    """Labels of the blocks dS^2, 0dS^1, 2dS^1 inside S^3 over a 4-letter
+    alphabet."""
+    return ([digit + a + b for a in "0123" for b in "0123"]
+            + ["0" + digit + a for a in "0123"] + ["2" + digit + a for a in "0123"])
 
 
 _EXACT_VALUES = (  # (instance, packing chromatic number)
@@ -304,97 +300,23 @@ def _unsat(graph: str, k: int, banned: tuple[str, ...], ctx: Context) -> Outcome
 
 
 # ------------------------------------------- the dimension-3 lower bound
-#
-# 48-vertex witness that 7 colors cannot cover dimension 3 over K4-e.  The
-# exhaustive solve runs first; past its budget the verdict rests on the
-# banned-color UNSAT facts of side 3, a digit-swap isomorphism onto side 1,
-# and an exhaustive placement enumeration for color 7.
-
-_DIM3_ARGUMENT = ("unsat.side3.k7.ban03", "unsat.side3.k7.ban23",
-                  "lower.dim3.iso", "lower.dim3.placement")
 
 
-def _dim3_union():
-    s3 = _family_graph("S3_K4E")
-    side3, side1 = _side_blocks("3"), _side_blocks("1")
-    union = induced_subgraph(
-        s3, [lab for blocks in (side3, side1) for b in blocks for lab in b])
-    return union, side3, side1
+def _dim3_union() -> Graph:
+    """The 48-vertex witness that 7 colors cannot cover dimension 3 over
+    K4-e: the side graphs of digits 3 and 1 inside S3_K4E."""
+    return induced_subgraph(_family_graph("S3_K4E"), _side_labels("3") + _side_labels("1"))
 
 
-def _digit_swap_iso(side_a: Graph, side_b: Graph) -> bool:
-    """Check that swapping digits 1 and 3 maps side_a onto side_b exactly."""
-    table = str.maketrans("13", "31")
-    swapped = Graph([lab.translate(table) for lab in side_a.labels],
-                    [(u.translate(table), v.translate(table))
-                     for u, v in side_a.edges()])
-    return swapped == side_b
-
-
-def _seven_placement_exists(u48, side3, side1) -> tuple[bool, str]:
-    """Search for a pairwise-compatible placement of color 7 on both sides.
-
-    Any 7-packing coloring of the union graph restricts to a valid
-    7-packing coloring of each side, so by the banned-color UNSAT facts
-    its color-7 class must meet 3S2+03S1 and 3S2+23S1 (and the 1-side
-    mirrors).  Four witnesses drawn one from each of those unions must be
-    pairwise more than 7 apart in the union graph; if no such quadruple
-    exists, color 7 cannot be placed at all and 7 colors are infeasible.
-    """
-    dm = all_pairs_distances(u48)
-    idx = dm.index
-    d = dm.matrix
-
-    def pick(big, small):
-        return [idx[lab] for lab in big + small]
-
-    big3, lo3, hi3 = side3
-    big1, lo1, hi1 = side1
-    groups = [pick(big3, lo3), pick(big3, hi3), pick(big1, lo1),
-              pick(big1, hi1)]
-
-    def extend(chosen: list[int], g: int) -> bool:
-        if g == len(groups):
-            return True
-        for v in groups[g]:
-            if all(v == u or d[v, u] > 7 for u in chosen):
-                if extend(chosen + [v], g + 1):
-                    return True
-        return False
-
-    found = extend([], 0)
-    return found, f"{u48.n}-vertex union, groups of {[len(g) for g in groups]}"
-
-
-def _dim3_direct(ctx: Context) -> Outcome:
+def _dim3(ctx: Context) -> Outcome:
     budget = ctx.settings.c3_budget
-    res = is_packing_k_colorable(_dim3_union()[0], 7, budget=budget)
+    res = is_packing_k_colorable(_dim3_union(), 7, budget=budget)
     if res.status == UNSAT:
         return Outcome("pass", f"exhaustive, {res.nodes_explored} nodes")
     if res.status == SAT:
         return Outcome("fail", "solver found a 7-coloring")
-    return Outcome("report", f"direct solve exceeded {budget:.0f}s"
-                   f" after {res.nodes_explored} nodes, degrading")
-
-
-def _dim3_iso(ctx: Context) -> Outcome:
-    ok = _digit_swap_iso(_family_graph("side3"), _family_graph("side1"))
-    return Outcome(_ok(ok), "digit swap 1<->3")
-
-
-def _dim3_placement(ctx: Context) -> Outcome:
-    found, note = _seven_placement_exists(*_dim3_union())
-    if found:
-        return Outcome("fail", "a compatible color-7 placement exists: " + note)
-    return Outcome("pass", "no compatible color-7 placement: " + note)
-
-
-def _dim3_verdict(ctx: Context) -> Outcome:
-    direct = ctx.done["lower.dim3.direct"]
-    if direct.status == "pass":
-        return direct
-    return Outcome("degraded", "direct solve timed out; combination of "
-                   + ", ".join(_DIM3_ARGUMENT))
+    return Outcome("fail", f"UNSAT not proven: solve exceeded {budget:g}s"
+                   f" after {res.nodes_explored} nodes")
 
 
 _SHIPPED = (  # (coloring file or the built "eleven", instance, top color)
@@ -575,12 +497,7 @@ TABLE: tuple[Check, ...] = (
             partial(_exact_value, g, v)) for g, v in _EXACT_VALUES),
     *(Check(row, claim, partial(_unsat, g, k, banned))
       for row, claim, g, k, banned in _UNSAT_FACTS),
-    Check("lower.dim3.direct", "48-vertex union has no 7-packing coloring", _dim3_direct),
-    Check("lower.dim3.iso", "side graphs are isomorphic under the 1<->3 digit swap", _dim3_iso),
-    Check("lower.dim3.placement", "every color-7 placement collides within distance 7",
-          _dim3_placement),
-    Check("lower.dim3", "48-vertex union has no 7-packing coloring", _dim3_verdict,
-          ("lower.dim3.direct",) + _DIM3_ARGUMENT),
+    Check("lower.dim3", "48-vertex union has no 7-packing coloring", _dim3),
     *(Check(f"verify.{src.split('_')[0]}",
             f"built 11-coloring is a packing coloring of {g}" if src == "eleven"
             else f"{src} is a packing coloring of {g} with top color {top}",

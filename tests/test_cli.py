@@ -324,7 +324,6 @@ def test_search_json_reports_bound(tmp_path, capsys):
 def test_manifest_pass_fail_logic():
     rows = [
         reproduce.CheckRow("a", "first", "pass", 0.1),
-        reproduce.CheckRow("b", "second", "degraded", 0.2, "fallback path"),
         reproduce.CheckRow("c", "third", "report", 0.0, "informational"),
     ]
     manifest = reproduce.RunManifest(command=["sierpack", "reproduce"],
@@ -356,7 +355,7 @@ def test_manifest_json_round_trip():
     assert doc["results"][0]["elapsed"] == 1.234
 
 
-def test_reproduce_manifest_records_settings(monkeypatch):
+def test_reproduce_manifest_records_settings(monkeypatch, capsys):
     monkeypatch.setenv("SIERPACK_C3_BUDGET", "42")
     monkeypatch.delenv("SIERPACK_SEARCH_BUDGET", raising=False)
     settings = reproduce.Settings.from_env("quick", threads=2)
@@ -373,9 +372,19 @@ def test_reproduce_manifest_records_settings(monkeypatch):
     monkeypatch.delenv("SIERPACK_C3_BUDGET")
     full = reproduce.Settings.from_env("full").as_dict()
     assert full["c3_budget"] == {"seconds": 3600.0, "source": "default"}
-    monkeypatch.setenv("SIERPACK_SEARCH_BUDGET", "soon")
-    with pytest.raises(ValueError, match="SIERPACK_SEARCH_BUDGET"):
-        reproduce.Settings.from_env("quick")
+    for raw in ("soon", "nan", "-1"):
+        monkeypatch.setenv("SIERPACK_SEARCH_BUDGET", raw)
+        with pytest.raises(ValueError, match="SIERPACK_SEARCH_BUDGET"):
+            reproduce.Settings.from_env("quick")
+    monkeypatch.delenv("SIERPACK_SEARCH_BUDGET")
+    for raw in ("nan", "-1", "inf"):
+        monkeypatch.setenv("SIERPACK_C3_BUDGET", raw)
+        with pytest.raises(ValueError, match="SIERPACK_C3_BUDGET"):
+            reproduce.Settings.from_env("quick")
+    # the bad budget stops the run before any row, with one line
+    code, out, err = run_cli(["reproduce"], capsys)
+    assert (code, out, err.count("\n")) == (3, "", 1)
+    assert "SIERPACK_C3_BUDGET" in err
 
 
 def test_packaged_data_hashes_are_complete():
@@ -396,39 +405,6 @@ def test_shipped_coloring_checks_all_pass():
 def test_small_oracle_check_passes_quickly():
     (row,) = reproduce.run_checks(["oracle.random"])
     assert row.status == "pass"
-
-
-def test_placement_search_on_full_graph_finds_nothing():
-    s3 = reproduce._family_graph("S3_K4E")
-    from sierpack.graph_core import induced_subgraph
-
-    side3 = reproduce._side_blocks("3")
-    side1 = reproduce._side_blocks("1")
-    union = induced_subgraph(
-        s3, [lab for blocks in (side3, side1) for b in blocks for lab in b])
-    found, _ = reproduce._seven_placement_exists(union, side3, side1)
-    assert not found
-
-
-def test_placement_search_succeeds_when_relaxed():
-    # same enumeration on the whole 64-vertex graph: the two extra
-    # middle squares add shortcuts but also distant placements
-    s3 = reproduce._family_graph("S3_K4E")
-    side3 = reproduce._side_blocks("3")
-    side1 = reproduce._side_blocks("1")
-    # distances measured in the full graph are never larger, so if even
-    # this relaxation finds nothing the union certainly has nothing
-    found, _ = reproduce._seven_placement_exists(s3, side3, side1)
-    assert not found
-
-
-def test_digit_swap_isomorphism_holds():
-    s3 = reproduce._family_graph("S3_K4E")
-    a, *_ = reproduce._side_graph(s3, "3")
-    b, *_ = reproduce._side_graph(s3, "1")
-    assert reproduce._digit_swap_iso(a, b)
-    # side 3 is not mapped onto itself: the swap moves its labels to side 1
-    assert not reproduce._digit_swap_iso(a, a)
 
 
 # ------------------------------------------------------------ check table
@@ -471,16 +447,16 @@ def test_row_fails_without_running_when_its_premise_fails():
 
 
 def test_side3_banned_color_facts_are_solved_once(monkeypatch):
-    # the degraded dimension-3 verdict reads the unsat.side3.k7.* rows
-    # instead of solving the same banned-color instances again
+    # only the unsat.side3.k7.* rows solve side 3 with color 7 banned, and
+    # lower.dim3 fails unless its own solve of the 48-vertex union is UNSAT
     side3 = reproduce._family_graph("side3")
-    current, banned_solves = [], []
+    current, banned_solves, answer = [], [], []
 
     def fake_decide(g, k, constraints=None, budget=0.0):
         if g == side3 and k == 7 and constraints and constraints.forbidden:
             banned_solves.append(current[-1])
         if g.n == 48:
-            return DecideResult("TIMEOUT", None, 1234, 0.0)
+            return DecideResult(answer[-1], None, 1234, 0.0)
         return DecideResult("UNSAT", None, 0, 0.0)
 
     def tracked(check):
@@ -492,10 +468,14 @@ def test_side3_banned_color_facts_are_solved_once(monkeypatch):
     monkeypatch.setattr(reproduce, "is_packing_k_colorable", fake_decide)
     table = [tracked(c) for c in reproduce.TABLE
              if c.name.startswith(("unsat.", "lower.dim3"))]
-    rows = reproduce.run_checks([c.name for c in table], table=table)
-    assert banned_solves == ["unsat.side3.k7.ban03", "unsat.side3.k7.ban23"]
-    (direct,) = [r for r in rows if r.name == "lower.dim3.direct"]
-    assert direct.detail == "direct solve exceeded 15s after 1234 nodes, degrading"
-    verdict = rows[-1]
-    assert (verdict.name, verdict.status) == ("lower.dim3", "degraded")
-    assert "unsat.side3.k7.ban03" in verdict.detail
+    for status, detail in [
+            ("TIMEOUT", "UNSAT not proven: solve exceeded 15s after 1234 nodes"),
+            ("SAT", "solver found a 7-coloring")]:
+        answer.append(status)
+        banned_solves.clear()
+        rows = reproduce.run_checks([c.name for c in table], table=table)
+        assert banned_solves == ["unsat.side3.k7.ban03", "unsat.side3.k7.ban23"]
+        assert [r.name for r in rows if r.name.startswith("lower.")] == ["lower.dim3"]
+        assert (rows[-1].status, rows[-1].detail) == ("fail", detail)
+        (row,) = reproduce.run_checks(reproduce.select("lower.dim3"))
+        assert (row.name, row.status, row.detail) == ("lower.dim3", "fail", detail)

@@ -42,7 +42,7 @@ from sierpack.packing import (
     parse_coloring_text,
     verify_packing_coloring,
 )
-from sierpack.reproduce import _family_graph
+from sierpack.reproduce import _dim3_union, _family_graph
 from sierpack.sierpinski import (
     base_graph_library,
     gen_generalized,
@@ -184,12 +184,14 @@ def test_constrained_decisions_match_oracle():
 
 
 @pytest.mark.parametrize("run, status, nodes", [
-    (lambda: chi_rho(gen_triangle(2)), EXACT, 43_655),
-    (lambda: chi_rho(gen_generalized(2, base_graph_library("K4E"))), EXACT, 1_773),
-    (lambda: is_packing_k_colorable(gen_triangle(2), 7), UNSAT, 40_312),
-    (lambda: is_packing_k_colorable(load_graph("h.graph"), 4), UNSAT, 282),
-    (lambda: is_packing_k_colorable(_family_graph("side3"), 6), UNSAT, 10_716),
-], ids=["chi-ST2", "chi-S2K4E", "decide-ST2-k7", "decide-H-k4", "decide-side3-k6"])
+    (lambda: chi_rho(gen_triangle(2)), EXACT, 31_598),
+    (lambda: chi_rho(gen_generalized(2, base_graph_library("K4E"))), EXACT, 399),
+    (lambda: is_packing_k_colorable(gen_triangle(2), 7), UNSAT, 29_572),
+    (lambda: is_packing_k_colorable(load_graph("h.graph"), 4), UNSAT, 96),
+    (lambda: is_packing_k_colorable(_family_graph("side3"), 6), UNSAT, 3_637),
+    (lambda: is_packing_k_colorable(_dim3_union(), 7), UNSAT, 76_451),
+], ids=["chi-ST2", "chi-S2K4E", "decide-ST2-k7", "decide-H-k4", "decide-side3-k6",
+        "decide-union48-k7"])
 def test_search_tree_is_pinned(run, status, nodes):
     # exact node counts: any change to the branching rule, the balls or the
     # capacities changes the tree, and must show up here
