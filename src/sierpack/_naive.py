@@ -1,10 +1,12 @@
 """Naive reference implementations used only for cross-checking.
 
-Deliberately shares no algorithmic machinery with packing.py: distances come
-from a Floyd-Warshall sweep, colorability from plain label-order backtracking
-with no capacity or symmetry pruning.  The lift-certificate margins are
-recomputed pair by pair from a boundary profile, independently of the
-vectorized condition table in certify.py.
+Deliberately shares no algorithmic machinery with packing.py or with the
+multi-source BFS kernel of graph_core.py: distances come from a
+Floyd-Warshall sweep or from one frontier BFS per source, colorability
+from plain label-order backtracking with no capacity or symmetry pruning,
+and the coloring verifier checks same-color pairs label by label.  The
+lift-certificate margins are recomputed pair by pair from a boundary
+profile, independently of the vectorized condition table in certify.py.
 """
 
 from __future__ import annotations
@@ -14,8 +16,81 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .graph_core import DistanceMatrix, Graph, all_pairs_distances, build_graph
+import numpy as np
+
+from .graph_core import UNREACHABLE, DistanceMatrix, Graph, UnknownLabel, build_graph
+from .packing import ViolationReport
 from .sierpinski import BaseGraph, extreme_vertices, gen_generalized, gen_triangle
+
+
+def _bfs_fill(g: Graph, source: int, depth_limit: int | None = None) -> np.ndarray:
+    """Distance array from one source; -1 marks not reached (or beyond the limit)."""
+    n = g.n
+    dist = np.full(n, -1, dtype=np.int32)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int32)
+    indptr, indices = g._indptr, g._indices
+    d = 0
+    while frontier.size:
+        if depth_limit is not None and d >= depth_limit:
+            break
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        # gather all frontier neighborhoods in one shot
+        offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+        nbrs = indices[np.repeat(starts, counts) + offs]
+        nbrs = nbrs[dist[nbrs] < 0]
+        if nbrs.size == 0:
+            break
+        frontier = np.unique(nbrs)
+        d += 1
+        dist[frontier] = d
+    return dist
+
+
+def naive_bfs_distances(g: Graph, source: str,
+                        depth_limit: int | None = None) -> dict[str, int]:
+    dist = _bfs_fill(g, g.index(source), depth_limit)
+    labels = g.labels
+    return {labels[i]: int(d) for i, d in enumerate(dist) if d >= 0}
+
+
+def naive_all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """The all-pairs table, one frontier BFS per source."""
+    n = g.n
+    mat = np.full((n, n), UNREACHABLE, dtype=np.uint16)
+    for s in range(n):
+        dist = _bfs_fill(g, s)
+        reached = dist >= 0
+        mat[s, reached] = dist[reached].astype(np.uint16)
+    return DistanceMatrix(labels=g.labels, matrix=mat, index=g._index)
+
+
+def naive_verify_packing_coloring(g: Graph, c: Mapping[str, int]) -> ViolationReport:
+    """The label-level verifier: one BFS truncated at the color per colored
+    vertex, every same-color pair read off a label dict."""
+    classes: dict[int, list[str]] = {}
+    for lab, col in c.items():
+        if not g.has_vertex(lab):
+            raise UnknownLabel(f"colored label {lab!r} is not a vertex")
+        if col < 1:
+            raise ValueError(f"color {col} for {lab!r} is below 1")
+        classes.setdefault(col, []).append(lab)
+    uncolored = sorted(lab for lab in g.labels if lab not in c)
+    violations = set()
+    for col, members in classes.items():
+        member_set = set(members)
+        for u in members:
+            near = naive_bfs_distances(g, u, depth_limit=col)
+            for v, d in near.items():
+                if v != u and v in member_set:
+                    a, b = (u, v) if u <= v else (v, u)
+                    violations.add((col, a, b, d))
+    return ViolationReport(ok=not violations and not uncolored,
+                           violations=sorted(violations), uncolored=uncolored)
 
 
 def _fw_distances(g: Graph) -> list[list[float]]:
@@ -130,7 +205,7 @@ def naive_lift_margins(family: str, m: int, block: Mapping[str, int],
     positions) and `single` (two copies of one position), each minus the
     color."""
     g = gen_triangle(m) if family == "triangle" else gen_generalized(m, base)
-    dm = all_pairs_distances(g)
+    dm = naive_all_pairs_distances(g)
     prof = boundary_profile(dm, extreme_vertices(family, m, base))
     to = prof.to_extreme
     if family == "triangle":

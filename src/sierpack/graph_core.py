@@ -1,8 +1,12 @@
 """Shared graph substrate: labelled graphs, BFS metric queries, embeddings, file I/O.
 
 Vertices carry string labels.  Internally a graph is stored as a CSR-style
-adjacency over dense integer indices so that BFS sweeps can be vectorized
-with numpy; everything user-facing speaks labels.
+adjacency over dense integer indices, and every distance query runs on one
+kernel, `_sweep`: a bit-parallel multi-source BFS (MS-BFS, Then et al.,
+PVLDB 2014) that advances up to `_BATCH` sources one level per numpy pass,
+one bit per source.  All-pairs distances, the exact diameter, single-source
+BFS and the packing verifier are built on it; everything user-facing
+speaks labels.
 """
 
 from __future__ import annotations
@@ -81,13 +85,18 @@ class Graph:
                 count += 1
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in nbr_sets)
         self._edge_count = count
-        # CSR arrays for the vectorized BFS kernel
+        # CSR arrays for the BFS kernel.  `indices` ends in one extra entry,
+        # n, naming the kernel's all-zero pad row: every offset of
+        # indptr[:-1] is then a valid `reduceat` start, even when trailing
+        # vertices have degree 0, without clamping any offset (a clamped
+        # offset would cut the last neighbor off the list before it)
         indptr = np.zeros(n + 1, dtype=np.int64)
         for i, nbrs in enumerate(self._adj):
             indptr[i + 1] = indptr[i] + len(nbrs)
-        indices = np.empty(indptr[-1], dtype=np.int32)
+        indices = np.empty(indptr[-1] + 1, dtype=np.int32)
         for i, nbrs in enumerate(self._adj):
             indices[indptr[i]:indptr[i + 1]] = nbrs
+        indices[-1] = n
         self._indptr = indptr
         self._indices = indices
 
@@ -146,40 +155,77 @@ def build_graph(labels: Iterable[str], edges: Iterable[tuple[str, str]]) -> Grap
     return Graph(labels, edges)
 
 
-def _bfs_fill(g: Graph, source: int, depth_limit: int | None = None) -> np.ndarray:
-    """Distance array from one source; -1 marks not reached (or beyond the limit)."""
+_BATCH = 256  # sources per sweep: four uint64 words per vertex and level
+
+
+def _sweep(g: Graph, sources, depth_limit: int | None = None
+           ) -> Iterator[tuple[int, np.ndarray]]:
+    """Multi-source BFS from at most `_BATCH` distinct vertex indices.
+
+    Bit j of a vertex's row stands for `sources[j]`.  Yields `(d, reached)`
+    for d = 1, 2, ... up to `depth_limit`: `reached` is an (n, words)
+    uint64 array whose bit j is set in the rows of the vertices at
+    distance exactly d from `sources[j]`.  Stops after the last level
+    that reaches anything new.
+    """
     n = g.n
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int32)
-    indptr, indices = g._indptr, g._indices
+    width = len(sources)
+    if n == 0 or width == 0:
+        return
+    src = np.asarray(sources, dtype=np.int64)
+    j = np.arange(width)
+    front = np.zeros((n + 1, (width + 63) // 64), dtype=np.uint64)  # row n: the pad
+    front[src, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
+    visited = front[:n].copy()
+    starts = g._indptr[:-1]
+    isolated = starts == g._indptr[1:]  # reduceat returns a stray row for these
     d = 0
-    while frontier.size:
-        if depth_limit is not None and d >= depth_limit:
-            break
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # gather all frontier neighborhoods in one shot
-        offs = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-        nbrs = indices[np.repeat(starts, counts) + offs]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size == 0:
-            break
-        frontier = np.unique(nbrs)
+    while depth_limit is None or d < depth_limit:
+        reached = np.bitwise_or.reduceat(np.take(front, g._indices, axis=0), starts, axis=0)
+        reached[isolated] = 0
+        reached &= ~visited
+        if not reached.any():
+            return
         d += 1
-        dist[frontier] = d
+        visited |= reached
+        front[:n] = reached
+        yield d, reached
+
+
+def _hits(reached: np.ndarray, width: int, rows: np.ndarray | None = None
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex, source position) of every set bit of one level of `_sweep`,
+    read only on `rows` when given.  Only touched rows are unpacked."""
+    if rows is not None:
+        reached = reached[rows]
+    touched = np.flatnonzero(reached.any(axis=1))
+    # little-endian words, so that bit j of the row is bit j % 8 of byte j // 8
+    data = reached[touched].astype("<u8", copy=False).view(np.uint8)
+    r, j = np.nonzero(np.unpackbits(data, axis=1, count=width, bitorder="little"))
+    return (touched if rows is None else rows[touched])[r], j
+
+
+def _batches(idx: np.ndarray) -> Iterator[np.ndarray]:
+    """`idx` in consecutive slices of at most `_BATCH` sources."""
+    for lo in range(0, len(idx), _BATCH):
+        yield idx[lo:lo + _BATCH]
+
+
+def _distances(g: Graph, source: int, depth_limit: int | None = None) -> np.ndarray:
+    """Distance array from one source; -1 marks not reached (or beyond the limit)."""
+    dist = np.full(g.n, -1, dtype=np.int32)
+    dist[source] = 0
+    for d, reached in _sweep(g, [source], depth_limit):
+        dist[reached[:, 0] != 0] = d
     return dist
 
 
 def bfs_distances(g: Graph, source: str, depth_limit: int | None = None) -> dict[str, int]:
     """Distances from `source` by label.  Vertices beyond `depth_limit` (or
     unreachable) are simply absent from the result."""
-    dist = _bfs_fill(g, g.index(source), depth_limit)
+    dist = _distances(g, g.index(source), depth_limit)
     labels = g.labels
-    return {labels[i]: int(d) for i, d in enumerate(dist) if d >= 0}
+    return {labels[i]: int(d) for i, d in enumerate(dist.tolist()) if d >= 0}
 
 
 @dataclass(frozen=True)
@@ -214,46 +260,48 @@ def all_pairs_distances(g: Graph, limit: int = _ALL_PAIRS_LIMIT) -> DistanceMatr
     if n > limit:
         raise TooLarge(f"all-pairs table for {n} vertices exceeds the {limit} vertex limit")
     mat = np.full((n, n), UNREACHABLE, dtype=np.uint16)
-    for s in range(n):
-        dist = _bfs_fill(g, s)
-        reached = dist >= 0
-        mat[s, reached] = dist[reached].astype(np.uint16)
+    np.fill_diagonal(mat, 0)
+    for batch in _batches(np.arange(n)):
+        cols = mat[:, batch[0]:batch[-1] + 1]  # a view; the matrix is symmetric
+        for d, reached in _sweep(g, batch):
+            v, j = _hits(reached, len(batch))
+            cols[v, j] = d
     return DistanceMatrix(labels=g.labels, matrix=mat, index=g._index)
 
 
 def diameter(g: Graph) -> int:
-    """Exact diameter via double sweep plus the iFUB level-pruning scheme.
+    """Exact diameter via double sweep plus the iFUB level-pruning scheme
+    (Crescenzi et al., TCS 2013).
 
-    Typically needs a handful of BFS runs on the self-similar graphs built
-    here, against n for the naive approach.
+    Each fringe level is swept in batches of sources: the eccentricity of a
+    batch, the largest of its members', is its number of levels.
     """
     n = g.n
     if n == 0:
         raise DisconnectedGraph("diameter of the empty graph is undefined")
-    d0 = _bfs_fill(g, 0)
+    d0 = _distances(g, 0)
     if (d0 < 0).any():
         raise DisconnectedGraph("graph is not connected")
     if n == 1:
         return 0
     a = int(d0.argmax())
-    da = _bfs_fill(g, a)
+    da = _distances(g, a)
     b = int(da.argmax())
     lb = int(da[b])
-    db = _bfs_fill(g, b)
+    db = _distances(g, b)
     lb = max(lb, int(db.max()))
     # root near the a-b midpoint: minimizes levels, tightens the 2*level bound
     half = (da[b] + 1) // 2
     on_path = np.flatnonzero((da + db) == da[b])
     root = int(on_path[np.abs(da[on_path] - half).argmin()])
-    dr = _bfs_fill(g, root)
+    dr = _distances(g, root)
     ecc_r = int(dr.max())
     lb = max(lb, ecc_r)
-    order = np.argsort(dr)[::-1]  # deepest levels first
-    for v in order:
-        lvl = int(dr[v])
-        if 2 * lvl <= lb:
-            break  # no deeper vertex can witness anything beyond lb
-        lb = max(lb, int(_bfs_fill(g, int(v)).max()))
+    for lvl in range(ecc_r, 0, -1):  # deepest levels first
+        for batch in _batches(np.flatnonzero(dr == lvl)):
+            if 2 * lvl <= lb:
+                return lb  # every pair left lies within 2 * lvl through the root
+            lb = max(lb, sum(1 for _ in _sweep(g, batch)))
     return lb
 
 

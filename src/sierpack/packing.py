@@ -29,8 +29,11 @@ from .graph_core import (
     GraphError,
     TooLarge,
     UnknownLabel,
+    _batches,
+    _distances,
+    _hits,
+    _sweep,
     all_pairs_distances,
-    bfs_distances,
     text_records,
 )
 
@@ -69,28 +72,33 @@ class ViolationReport:
 
 
 def verify_packing_coloring(g: Graph, c: Coloring) -> ViolationReport:
-    """Check every same-color pair via BFS truncated at the color.
+    """Check every same-color pair with one sweep per color class c,
+    truncated at depth c and read only on the class's own rows: a hit at
+    level d is exactly the violation (c, u, v, d).
 
     Returns the complete violation list, plus any vertices of g missing from
     the coloring; ok means both lists are empty.
     """
-    classes: dict[int, list[str]] = {}
+    classes: dict[int, list[int]] = {}
     for lab, col in c.items():
         if not g.has_vertex(lab):
             raise UnknownLabel(f"colored label {lab!r} is not a vertex")
         if col < 1:
             raise ValueError(f"color {col} for {lab!r} is below 1")
-        classes.setdefault(col, []).append(lab)
+        classes.setdefault(col, []).append(g.index(lab))
     uncolored = sorted(lab for lab in g.labels if lab not in c)
-    violations = set()
+    labels = g.labels
+    violations = []
     for col, members in classes.items():
-        member_set = set(members)
-        for u in members:
-            near = bfs_distances(g, u, depth_limit=col)
-            for v, d in near.items():
-                if v != u and v in member_set:
-                    a, b = (u, v) if u <= v else (v, u)
-                    violations.add((col, a, b, d))
+        rows = np.array(members)
+        for batch in _batches(rows):
+            for d, reached in _sweep(g, batch, depth_limit=col):
+                v, j = _hits(reached, len(batch), rows)
+                u = batch[j]
+                for a, b in zip(u.tolist(), v.tolist()):
+                    if a < b:  # each pair is hit from both ends; keep one
+                        a, b = sorted((labels[a], labels[b]))
+                        violations.append((col, a, b, d))
     return ViolationReport(ok=not violations and not uncolored,
                            violations=sorted(violations), uncolored=uncolored)
 
@@ -380,23 +388,22 @@ def greedy_packing_coloring(g: Graph, order: str | Sequence[str] = "degree_desc"
         seq = list(order)
         if sorted(seq) != sorted(g.labels):
             raise ValueError("explicit order must cover every vertex exactly once")
-    assigned: dict[str, int] = {}
-    by_color: dict[int, set[str]] = {}
-    for lab in seq:
-        depth = 8
-        near = bfs_distances(g, lab, depth_limit=depth)
-        c = 1
-        while True:
-            if c > depth:
-                depth = max(depth * 2, c)
-                near = bfs_distances(g, lab, depth_limit=depth)
-            ok = all(near.get(u, depth + 1) > c for u in by_color.get(c, ()))
-            if ok:
-                break
-            c += 1
-        assigned[lab] = c
-        by_color.setdefault(c, set()).add(lab)
-    return assigned
+    n = g.n
+    colors = np.zeros(n, dtype=np.int64)  # 0: not colored yet
+    for batch in _batches(np.array([g.index(lab) for lab in seq], dtype=np.int64)):
+        dist = np.full((len(batch), n), n + 1, dtype=np.int32)  # n + 1: beyond any color
+        dist[np.arange(len(batch)), batch] = 0
+        for d, reached in _sweep(g, batch):
+            u, j = _hits(reached, len(batch))
+            dist[j, u] = d
+        for j, v in enumerate(batch.tolist()):
+            # smallest c with no vertex of color c within distance c of v
+            near = colors[dist[j] <= colors]
+            free = np.ones(int(near.max(initial=0)) + 2, dtype=bool)
+            free[near] = False
+            free[0] = False
+            colors[v] = free.argmax()
+    return {lab: int(colors[g.index(lab)]) for lab in seq}
 
 
 def chi_rho(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
@@ -411,7 +418,7 @@ def chi_rho(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
     deadline = start + budget
     if g.n == 0:
         return SolveResult(EXACT, 0, 0, {}, 0, 0.0)
-    if len(bfs_distances(g, g.labels[0])) != g.n:
+    if (_distances(g, 0) < 0).any():
         raise DisconnectedGraph("packing chromatic number needs a connected graph")
 
     upper_witness = greedy_packing_coloring(g)

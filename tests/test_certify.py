@@ -35,6 +35,7 @@ from sierpack.graph_core import (
 )
 from sierpack.packing import greedy_packing_coloring, max_color, verify_packing_coloring
 from sierpack.sierpinski import (
+    BaseGraph,
     UnknownName,
     base_graph_library,
     extreme_vertices,
@@ -204,31 +205,72 @@ def test_certificate_report_text_shape():
                         for c in sorted(report.margins)]
 
 
-def test_refined_cross_bound_is_admissible():
-    # the table's cross-block bounds must never exceed true distance: pair_b
-    # for two positions in distinct blocks, single_b for two distinct
-    # copies of one position (on P4 the non-edge hop gives some bounds)
-    for family, m, base in (("generalized", 2, K13), ("generalized", 2, C4),
-                            ("generalized", 2, base_graph_library("P4")),
-                            ("triangle", 2, None)):
-        table = condition_table(family, m, base)
-        where = {lab: i for i, lab in enumerate(table.labels)}
+LIBRARY_BASES = ("K3", "K4", "K5", "C4", "P4", "K13", "K4E", "PAW")
+CLEAN = {"within": 0, "pair": 0, "single": 0}
+
+
+def _unsound_pairs(table, big, dist, canon):
+    """Pairs of the tiled dimension-n graph whose true distance falls below
+    the table's bound: `pair_d` within a block (corners skipped: they sit
+    under either block's prefix), `pair_b` across blocks for distinct
+    positions, `single_b` across blocks for two copies of one position."""
+    where = {lab: i for i, lab in enumerate(table.labels)}
+    cut = len(big.labels[0]) - len(table.labels[0])
+    pos = np.array([where[canon(lab[cut:])] for lab in big.labels])
+    blk = np.unique([lab[:cut] for lab in big.labels], return_inverse=True)[1]
+    bad = {"within": 0, "pair": 0, "single": 0}
+    for r in range(0, big.n, 512):  # row slices keep every array small
+        rows = slice(r, r + 512)
+        d, p, b = dist[rows].astype(np.int32), pos[rows, None], blk[rows, None]
+        same_blk, same_pos = b == blk[None, :], p == pos[None, :]
+        unpinned = ~table.pinned[p] & ~table.pinned[pos][None, :]
+        within = same_blk & unpinned & ~same_pos
+        bad["within"] += int((table.pair_d[p, pos[None, :]] > d)[within].sum())
+        bound = table.pair_b[p, pos[None, :]]
+        pair = ~same_blk & ~same_pos & (bound < NO_BOUND)
+        bad["pair"] += int((bound > d)[pair].sum())
+        single = ~same_blk & same_pos
+        bad["single"] += int((table.single_b[p] > d)[single].sum())
+    return bad
+
+
+def test_condition_table_is_sound_against_true_distances():
+    # every bound the certificate rests on, against the true distances of
+    # the tilings one and two dimensions up: all eight library bases at
+    # m = 1..3 in both modes, the triangle family at m = 1..4
+    for name in LIBRARY_BASES:
+        base = base_graph_library(name)
+        for m in (1, 2, 3):
+            tables = [condition_table("generalized", m, base, mode)
+                      for mode in ("refined", "conservative")]
+            for n in (m + 1, m + 2):
+                big = gen_generalized(n, base)
+                dist = all_pairs_distances(big).matrix
+                for table in tables:
+                    assert _unsound_pairs(table, big, dist, str) == CLEAN, (name, m, n)
+    for m in (1, 2, 3, 4):
+        table = condition_table("triangle", m)
         for n in (m + 1, m + 2):
-            if family == "triangle":
-                big, canon = gen_triangle(n), triangle_canonical
-            else:
-                big, canon = gen_generalized(n, base), str
-            dist = all_pairs_distances(big).matrix.astype(np.int64)
-            cut = n - m
-            pos = np.array([where[canon(lab[cut:])] for lab in big.labels])
-            blk = np.array([lab[:cut] for lab in big.labels])
-            apart = blk[:, None] != blk[None, :]
-            bound = table.pair_b[pos[:, None], pos[None, :]]
-            pairs = apart & (pos[:, None] != pos[None, :]) & (bound < NO_BOUND)
-            assert (dist >= bound)[pairs].all()
-            copies = apart & (pos[:, None] == pos[None, :])
-            assert copies.any()
-            assert (dist >= table.single_b[pos][:, None])[copies].all()
+            big = gen_triangle(n)
+            dist = all_pairs_distances(big).matrix
+            assert _unsound_pairs(table, big, dist, triangle_canonical) == CLEAN, (m, n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_condition_table_is_sound_on_random_bases(seed):
+    # random connected bases of order 3..5: a spanning tree plus random chords
+    rng = random.Random(seed)
+    k = rng.randint(3, 5)
+    edges = {(rng.randrange(v), v) for v in range(1, k)}
+    edges |= {(x, y) for x in range(k) for y in range(x + 1, k) if rng.random() < 0.4}
+    base = BaseGraph("random", k, tuple(sorted(edges)))
+    for m, n in ((1, 2), (1, 3), (2, 3), (2, 4)):
+        big = gen_generalized(n, base)
+        dist = all_pairs_distances(big).matrix
+        for mode in ("refined", "conservative"):
+            table = condition_table("generalized", m, base, mode)
+            assert _unsound_pairs(table, big, dist, str) == CLEAN, (edges, m, n, mode)
 
 
 def _triangle_block(m, rng):

@@ -7,7 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sierpack import graph_core
+from sierpack._naive import _fw_distances, naive_all_pairs_distances, naive_bfs_distances
 from sierpack.graph_core import (
+    _BATCH,
     UNREACHABLE,
     DisconnectedGraph,
     DuplicateLabel,
@@ -75,6 +78,75 @@ def test_all_pairs_matches_floyd_warshall_on_random_graphs():
                     assert got == want
 
 
+def numbered_graph(n, edges):
+    return build_graph([f"v{i}" for i in range(n)], [(f"v{a}", f"v{b}") for a, b in edges])
+
+
+def sparse_graph(n, seed):
+    """A sparse G(n, p): often disconnected, with isolated vertices
+    anywhere in the CSR, the last ones included."""
+    rng = random.Random(seed)
+    p = rng.uniform(0, 3 / n)
+    return numbered_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < p])
+
+
+# the kernel's trap cases, each a reason for one of its lines
+KERNEL_CASES = {
+    "one-vertex": numbered_graph(1, []),
+    "edgeless": numbered_graph(5, []),
+    # reduceat reads one row past a degree-0 vertex's empty neighbor list,
+    # and a degree-0 last vertex starts at the end of the list: clamping
+    # that offset would cut vertex 2's last neighbor off
+    "last-isolated": numbered_graph(4, [(0, 2), (1, 2)]),
+    "isolated-inside": numbered_graph(7, [(0, 4), (1, 4), (4, 2), (5, 6)]),
+    "two-components": numbered_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
+    "path-70": numbered_graph(71, [(i, i + 1) for i in range(69)]),  # > 64 sources, one isolated
+    "sparse-600": sparse_graph(600, 600),  # three batches of sources
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_kernel_matches_per_source_oracle_on_trap_cases(name):
+    g = KERNEL_CASES[name]
+    got = all_pairs_distances(g).matrix
+    assert np.array_equal(got, naive_all_pairs_distances(g).matrix)
+    if g.n <= 71:
+        fw = np.array(_fw_distances(g))
+        assert np.array_equal(got, np.where(np.isinf(fw), UNREACHABLE, fw))
+    for src in g.labels[:3] + g.labels[-3:]:
+        for limit in (None, 0, 1, 2):
+            assert bfs_distances(g, src, limit) == naive_bfs_distances(g, src, limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_kernel_all_pairs_matches_per_source_oracle(seed):
+    # up to 300 vertices: more than 64 sources a word, more than one batch
+    g = sparse_graph(random.Random(seed).randint(1, 300), seed)
+    assert np.array_equal(all_pairs_distances(g).matrix,
+                          naive_all_pairs_distances(g).matrix)
+
+
+def test_diameter_sweeps_a_fringe_level_larger_than_one_batch(monkeypatch):
+    # C4 blown up to groups of 130: from any root, level 2 holds 259
+    # vertices, and iFUB must sweep it (2 * 2 > the double-sweep bound 2)
+    s = 130
+    g = numbered_graph(4 * s, [(a * s + i, (a + 1) % 4 * s + j)
+                               for a in range(4) for i in range(s) for j in range(s)])
+    widths = []
+    real = graph_core._sweep
+
+    def counted(g, sources, depth_limit=None):
+        widths.append(len(sources))
+        return real(g, sources, depth_limit)
+
+    monkeypatch.setattr(graph_core, "_sweep", counted)
+    assert diameter(g) == int(naive_all_pairs_distances(g).matrix.max()) == 2
+    # the double sweep and the root, then the 259-vertex fringe in two batches
+    assert widths == [1, 1, 1, 1, _BATCH, 259 - _BATCH]
+
+
 def test_all_pairs_matches_floyd_warshall_on_generated_graphs():
     small = [gen_sierpinski(2, 3), gen_generalized(1, base_graph_library("C4")),
              gen_generalized(1, base_graph_library("K13"))]
@@ -124,7 +196,7 @@ def test_diameter_matches_all_pairs_max_on_random_connected_graphs():
             with pytest.raises(DisconnectedGraph):
                 diameter(g)
             continue
-        assert diameter(g) == int(dm.matrix.max())
+        assert diameter(g) == int(dm.matrix.max()) == max(map(max, _fw_distances(g)))
         done += 1
 
 

@@ -13,6 +13,7 @@ from sierpack._naive import (
     _fw_distances,
     naive_chi_rho,
     naive_is_k_colorable,
+    naive_verify_packing_coloring,
     random_connected_graphs,
 )
 from sierpack.graph_core import (
@@ -114,6 +115,65 @@ def test_verify_reports_all_violations_and_uncolored():
     path = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     rep3 = verify_packing_coloring(path, {"a": 2, "b": 1, "c": 2})
     assert rep3.violations == [(2, "a", "c", 2)]
+
+
+def sparse_labelled_graph(rng, n):
+    p = rng.uniform(0, 3 / n)
+    labels = [f"v{i}" for i in range(n)]
+    return build_graph(labels, [(labels[i], labels[j]) for i in range(n)
+                                for j in range(i + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_verify_matches_label_level_oracle(seed):
+    # up to 600 vertices and 1..3 colors: classes of more than 64 members and
+    # of more than one batch; disconnected graphs, isolated vertices, the
+    # edgeless graph and n = 1 all occur, and some vertices stay uncolored
+    rng = random.Random(seed)
+    g = sparse_labelled_graph(rng, rng.choice([1, 2, 5, 40, 150, 600]))
+    top = rng.randint(1, 3)
+    coloring = {lab: rng.randint(1, top) for lab in g.labels if rng.random() < 0.9}
+    assert verify_packing_coloring(g, coloring) == naive_verify_packing_coloring(g, coloring)
+
+
+def test_verify_matches_label_level_oracle_on_trap_cases():
+    # a degree-0 last vertex after a degree-2 one; a class of isolated
+    # vertices; the edgeless graph; n = 1
+    graphs = [build_graph("abcd", [("a", "c"), ("b", "c")]),
+              build_graph("abcde", [("a", "b"), ("b", "c")]),
+              build_graph("abc", []), build_graph("a", [])]
+    for g in graphs:
+        for colors in itertools.product((1, 2), repeat=g.n):
+            coloring = dict(zip(g.labels, colors))
+            assert (verify_packing_coloring(g, coloring)
+                    == naive_verify_packing_coloring(g, coloring)), (g.edges(), coloring)
+
+
+def first_fit(g, seq):
+    """Greedy by definition: each vertex in turn takes the smallest color c
+    with no vertex of color c within distance c."""
+    d = _fw_distances(g)
+    colors = {}
+    for lab in seq:
+        i, c = g.index(lab), 1
+        while any(col == c and d[i][g.index(u)] <= c for u, col in colors.items()):
+            c += 1
+        colors[lab] = c
+    return colors
+
+
+def test_greedy_is_first_fit_in_its_order():
+    rng = random.Random(11)
+    graphs = ([sparse_labelled_graph(rng, n) for n in (1, 3, 8, 20, 40, 70)]
+              + random_connected_graphs(10, seed=11, n_max=9) + [gen_triangle(2)])
+    for g in graphs:
+        for order, seed in (("degree_desc", 0), ("degree_desc", 3), ("label", 0)):
+            c = greedy_packing_coloring(g, order=order, seed=seed)
+            assert list(c.items()) == list(first_fit(g, list(c)).items())
+        seq = rng.sample(g.labels, g.n)
+        assert list(greedy_packing_coloring(g, order=seq).items()) == list(
+            first_fit(g, seq).items())
 
 
 def test_solver_matches_naive_oracle_on_small_suite():
