@@ -237,7 +237,7 @@ def cmd_search(args, parser) -> _Result:
 
 def cmd_reproduce(args, parser) -> int:
     manifest = run_suite(_echo(args),
-                         Settings.from_env(args.profile, args.threads))
+                         Settings.from_env(args.profile))
     if args.json:
         print(manifest.to_json())
     elif args.quiet:

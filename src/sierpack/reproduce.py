@@ -30,7 +30,7 @@ from ._data import MissingData, load_coloring, load_graph
 from ._naive import naive_chi_rho, random_connected_graphs
 from .certify import (CERTIFIED, EMPIRICAL, CertifyError, build_k4e_eleven_coloring,
                       certify_generalized_tiling, lower_bound_closed_form,
-                      lower_bound_sequence, monotonicity_check, tile_coloring)
+                      lower_bound_sequence, monotonicity_check)
 from .graph_core import Graph, GraphError, diameter, induced_subgraph
 from .packing import (EXACT, SAT, UNSAT, ColorConstraints, chi_rho, is_packing_k_colorable,
                       max_color, verify_packing_coloring)
@@ -122,28 +122,26 @@ class RunManifest:
 @dataclass(frozen=True)
 class Settings:
     """The inputs of a run: the profile, the direct 48-vertex budget and the
-    extra search budget (each with the variable that set it, or "default"),
-    and the worker processes of the search rows."""
+    extra search budget, each budget with the variable that set it, or
+    "default"."""
 
     profile: str = "quick"
     c3_budget: float = _C3_BUDGET["quick"]
     search_budget: float = 0.0
-    threads: int = 1
     c3_source: str = "default"
     search_source: str = "default"
 
     @classmethod
-    def from_env(cls, profile: str = "quick", threads: int = 1) -> Settings:
+    def from_env(cls, profile: str = "quick") -> Settings:
         """The profile's budgets, overridden by SIERPACK_C3_BUDGET and
         SIERPACK_SEARCH_BUDGET where those are set."""
         c3, c3_source = _env_seconds("SIERPACK_C3_BUDGET", _C3_BUDGET[profile])
         extra, extra_source = _env_seconds("SIERPACK_SEARCH_BUDGET", 0.0)
-        return cls(profile, c3, extra, threads, c3_source, extra_source)
+        return cls(profile, c3, extra, c3_source, extra_source)
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "profile": self.profile,
-            "threads": self.threads,
             "c3_budget": {"seconds": self.c3_budget, "source": self.c3_source},
             "search_budget": {"seconds": self.search_budget,
                               "source": self.search_source},
@@ -340,9 +338,9 @@ def _verify(source: str, graph: str, top: int, ctx: Context) -> Outcome:
                    f"{detail}, max {max_color(coloring)}")
 
 
-_BLOCKS = (  # (block coloring, base, block dimension)
-    ("fig5_s3c4.coloring", "C4", 3),
-    ("fig7_s2k13.coloring", "K13", 2),
+_BLOCKS = (  # (row suffix, block coloring, base, block dimension)
+    ("fig5", "fig5_s3c4.coloring", "C4", 3),
+    ("fig7", "fig7_s2k13.coloring", "K13", 2),
 )
 
 
@@ -350,7 +348,8 @@ def _certify(source: str, base: str, m: int, ctx: Context) -> Outcome:
     report = certify_generalized_tiling(base_graph_library(base), m,
                                         load_coloring(source))
     return Outcome(_ok(report.status == CERTIFIED),
-                   f"{report.status} depth {report.max_dimension}")
+                   f"{report.status} depth {report.max_dimension}",
+                   report.max_dimension)
 
 
 def _certify_eleven(ctx: Context) -> Outcome:
@@ -362,20 +361,11 @@ def _certify_eleven(ctx: Context) -> Outcome:
                    report.max_dimension)
 
 
-def _tile(source: str, base: str, m: int, ctx: Context) -> Outcome:
-    block, g = load_coloring(source), base_graph_library(base)
-    for n in (m + 1, m + 2):
-        tiled = tile_coloring("generalized", m, block, n, base=g)
-        if not verify_packing_coloring(gen_generalized(n, g), tiled).ok:
-            return Outcome("fail", f"tiled coloring invalid at dimension {n}")
-    return Outcome("pass", f"valid at dimensions {m + 1} and {m + 2}")
-
-
-def _tile_eleven(ctx: Context) -> Outcome:
-    # the certify backstop of the 11-coloring verifies its m+1 and m+2
-    # tilings exhaustively; this row surfaces that
-    depth = ctx.done["cert.eleven"].value
-    return Outcome(_ok(depth is not None and depth >= 7), f"verified"
+def _tile(cert: str, m: int, ctx: Context) -> Outcome:
+    # the certify backstop of the block verifies its m+1 and m+2 tilings
+    # exhaustively; this row surfaces that
+    depth = ctx.done[cert].value
+    return Outcome(_ok(depth is not None and depth >= m + 2), f"verified"
                    f" exhaustively through dimension {depth} while certifying")
 
 
@@ -410,7 +400,7 @@ def _bounds_anchor(ctx: Context) -> Outcome:
 def _search_certified(ctx: Context) -> Outcome:
     cfg = SearchConfig(family="triangle", m=5, max_color=33, seed=5,
                        iterations=60_000)
-    out = search_certified_coloring(cfg, threads=ctx.settings.threads)
+    out = search_certified_coloring(cfg)
     if out.certified_bound is None:
         return Outcome("fail", f"no certificate, penalty {out.penalty}")
     return Outcome("pass", f"certified bound {out.certified_bound}",
@@ -423,7 +413,7 @@ def _search_target(ctx: Context) -> Outcome:
     def replay(seed: int):
         cfg = SearchConfig(family="triangle", m=5, max_color=31, seed=seed,
                            iterations=500_000)
-        return search_certified_coloring(cfg, threads=ctx.settings.threads)
+        return search_certified_coloring(cfg)
 
     out = replay(32)
     deadline = time.monotonic() + ctx.settings.search_budget
@@ -502,13 +492,14 @@ TABLE: tuple[Check, ...] = (
             f"built 11-coloring is a packing coloring of {g}" if src == "eleven"
             else f"{src} is a packing coloring of {g} with top color {top}",
             partial(_verify, src, g, top)) for src, g, top in _SHIPPED),
-    *(Check(f"cert.{src.split('_')[0]}", f"{src} lift certificate is CERTIFIED",
-            partial(_certify, src, base, m)) for src, base, m in _BLOCKS),
+    *(Check(f"cert.{name}", f"{src} lift certificate is CERTIFIED",
+            partial(_certify, src, base, m)) for name, src, base, m in _BLOCKS),
     Check("cert.eleven", "11-coloring certifies (or verifies through depth 7)", _certify_eleven),
-    *(Check(f"tile.{src.split('_')[0]}", f"{src} tiles to the next two dimensions",
-            partial(_tile, src, base, m)) for src, base, m in _BLOCKS),
-    Check("tile.eleven", "11-coloring tiles to the next two dimensions", _tile_eleven,
-          ("cert.eleven",)),
+    *(Check(f"tile.{name}", f"{src} tiles to the next two dimensions",
+            partial(_tile, f"cert.{name}", m), (f"cert.{name}",))
+      for name, src, _, m in _BLOCKS),
+    Check("tile.eleven", "11-coloring tiles to the next two dimensions",
+          partial(_tile, "cert.eleven", 5), ("cert.eleven",)),
     Check("bounds.forms", "closed form equals the recurrence for k=4..10, n<=30", _bounds_forms),
     Check("bounds.monotone", "bound sequences are strictly increasing", _bounds_monotone),
     Check("bounds.anchor", "a_2 = 10 for k=4 and the solver confirms chi_rho(S2_4) >= 10",

@@ -2,13 +2,16 @@
 
 The objective is the exact sum of integer deficits against the block's
 `certify.condition_table`, the conditions the certifier's margins read,
-so zero penalty coincides with a structural certificate pass.  Moves
-recolor one vertex (biased toward vertices that appear in violated
-conditions) or swap two whole color classes; acceptance follows
-simulated annealing with geometric cooling and reheat-on-stagnation.  A
-run is deterministic given its seed; restarts derive seeds and may
-execute in parallel, with the reported best chosen by (certified bound,
-penalty, seed).
+so zero penalty coincides with a structural certificate pass; one
+per-class deficit computation serves the full evaluation and the class
+swap.  Moves recolor one vertex (biased toward vertices that appear in
+violated conditions) or swap two whole color classes; acceptance follows
+simulated annealing with geometric cooling, and a run that stagnates
+regrows a few classes of its best coloring.  The initial peel and the
+regrow share one recreate routine; the move mix, the schedule and the
+stagnation limit are module constants.  A run is deterministic given its
+seed; restarts derive seeds and may execute in parallel, with the
+reported best chosen by (certified bound, penalty, seed).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -36,6 +39,12 @@ from .sierpinski import (
 )
 
 _HEAT_REFRESH = 256  # moves between violation-heat refreshes
+_RECOLOR_SHARE = 0.9  # share of recolor moves; the rest swap two classes
+_START_TEMP = 1.5
+_COOLING = 0.9995  # geometric cooling per move
+# moves without a new best before a regrow round; proposals that would
+# leave the coloring unchanged are not counted
+_STAGNATION_LIMIT = 3_000
 
 
 @dataclass(frozen=True)
@@ -50,10 +59,6 @@ class SearchConfig:
     seed: int = 0
     iterations: int = 200_000
     restarts: int = 1
-    move_weights: tuple[float, float] = (0.9, 0.1)  # recolor, class swap
-    cooling: float = 0.9995
-    start_temp: float = 1.5
-    stagnation_limit: int = 3_000
 
     def __post_init__(self):
         for name, least in (("max_color", 1), ("restarts", 1), ("iterations", 0)):
@@ -102,17 +107,11 @@ class _Context:
         total = 0
         for c in np.unique(colors):
             idx = np.flatnonzero(colors == c)
-            need = int(c) + 1
-            singles = np.maximum(need - self.single_b[idx], 0)
-            total += int(singles.sum())
+            cost, singles, pairs = self._class_deficit(idx, int(c))
+            total += cost
             heat[idx] += singles
-            if len(idx) > 1:
-                ij = np.ix_(idx, idx)
-                defic = (np.maximum(need - self.pair_d[ij], 0)
-                         + np.maximum(need - self.pair_b[ij], 0))
-                np.fill_diagonal(defic, 0)
-                total += int(defic.sum()) // 2
-                heat[idx] += defic.sum(axis=1)
+            if pairs is not None:
+                heat[idx] += pairs.sum(axis=1)
         return total, heat
 
     def recolor_costs(self, v: int, colors: np.ndarray,
@@ -130,22 +129,27 @@ class _Context:
         per_class += np.maximum(shades + 1 - int(self.single_b[v]), 0)
         return per_class
 
-    def _class_cost(self, members: np.ndarray, color: int) -> int:
+    def _class_deficit(self, members: np.ndarray, color: int
+                       ) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
+        """Penalty of `members` as one class of `color`, with its parts:
+        each member's boundary deficit and the matrix of pair deficits
+        (None below two members)."""
         need = color + 1
-        cost = int(np.maximum(need - self.single_b[members], 0).sum())
-        if len(members) > 1:
-            ij = np.ix_(members, members)
-            defic = (np.maximum(need - self.pair_d[ij], 0)
-                     + np.maximum(need - self.pair_b[ij], 0))
-            np.fill_diagonal(defic, 0)
-            cost += int(defic.sum()) // 2
-        return cost
+        singles = np.maximum(need - self.single_b[members], 0)
+        if len(members) < 2:
+            return int(singles.sum()), singles, None
+        ij = np.ix_(members, members)
+        pairs = (np.maximum(need - self.pair_d[ij], 0)
+                 + np.maximum(need - self.pair_b[ij], 0))
+        np.fill_diagonal(pairs, 0)
+        return int(singles.sum()) + int(pairs.sum()) // 2, singles, pairs
 
     def delta_swap(self, a: int, b: int, classes: list[list[int]]) -> int:
         ia = np.array(classes[a], dtype=np.intp)
         ib = np.array(classes[b], dtype=np.intp)
-        return (self._class_cost(ia, b) + self._class_cost(ib, a)
-                - self._class_cost(ia, a) - self._class_cost(ib, b))
+        deficit = self._class_deficit
+        return (deficit(ia, b)[0] + deficit(ib, a)[0]
+                - deficit(ia, a)[0] - deficit(ib, b)[0])
 
 
 def penalty(family: str, m: int, candidate: Mapping[str, int],
@@ -234,46 +238,55 @@ def _triangle_independent_core(m: int) -> set[str]:
     return cur
 
 
+def _recreate(ctx: _Context, work: np.ndarray, pool: set[int],
+              targets: Iterable[int], max_color: int, rng: random.Random,
+              passes: Callable[[int], int]) -> np.ndarray:
+    """Recolor the `pool` vertices of `work` in place and return it: each
+    target color c, ascending, grows as a large compatible set of the pool
+    vertices that may carry c, around the vertices already colored c; the
+    rest of the pool then takes its cheapest color."""
+    work[sorted(pool)] = 0
+    remaining = set(pool)
+    for c in sorted(targets):
+        elig = sorted(v for v in remaining if ctx.color_cap[v] >= c)
+        if not elig:
+            continue
+        fixed = [int(v) for v in np.flatnonzero(work == c)]
+        grown = _grow_class(ctx, elig, fixed, _compatible_at(ctx, c), rng,
+                            passes(c))
+        cls = [v for v in grown if v not in fixed]
+        work[cls] = c
+        remaining -= set(cls)
+    for v in sorted(remaining):
+        cap = min(max_color, int(ctx.color_cap[v]))
+        costs = ctx.recolor_costs(v, work, max_color)[1:cap + 1]
+        minima = np.flatnonzero(costs == costs.min()) + 1
+        work[v] = int(minima[rng.randrange(len(minima))])
+    return work
+
+
 def _peel_initial(ctx: _Context, max_color: int, rng: random.Random) -> np.ndarray:
-    """Build classes bottom-up, each as a large compatible set among the
-    still-uncolored vertices; leftovers take their cheapest color."""
+    """Pin the corners, and on triangle blocks the independent core, at
+    color 1, then build every other class bottom-up from the free vertices."""
     colors = np.zeros(ctx.n, dtype=np.int64)
     colors[ctx.pinned] = 1
-    avail = set(int(v) for v in ctx.free)
-    pinned_list = [int(v) for v in np.flatnonzero(ctx.pinned)]
+    pool = set(int(v) for v in ctx.free)
     start = 1
     if ctx.family == "triangle":
         core = _triangle_independent_core(ctx.m)
         first = [i for i, lab in enumerate(ctx.labels) if lab in core]
         colors[first] = 1
-        avail -= set(first)
+        pool -= set(first)
         start = 2
-    for c in range(start, max_color + 1):
-        if not avail:
-            break
-        elig = sorted(v for v in avail if ctx.color_cap[v] >= c)
-        if not elig:
-            continue
-        ok = _compatible_at(ctx, c)
-        seeded = pinned_list if c == 1 else []
-        passes = 12 if c <= 3 else 4
-        cls = [v for v in _grow_class(ctx, elig, seeded, ok, rng, passes)
-               if v not in seeded]
-        colors[cls] = c
-        avail -= set(cls)
-    for v in sorted(avail):
-        cap = min(max_color, int(ctx.color_cap[v]))
-        costs = ctx.recolor_costs(v, colors, max_color)[1:cap + 1]
-        minima = np.flatnonzero(costs == costs.min()) + 1
-        colors[v] = int(minima[rng.randrange(len(minima))])
-    return colors
+    return _recreate(ctx, colors, pool, range(start, max_color + 1), max_color,
+                     rng, lambda c: 12 if c <= 3 else 4)
 
 
 def _regrow_round(ctx: _Context, colors: np.ndarray, max_color: int,
                   rng: random.Random) -> np.ndarray:
     """Ruin-and-recreate at class granularity: dissolve a few color classes
-    plus every currently conflicting vertex, regrow the dissolved classes as
-    large compatible sets, then seat the remainder at cheapest cost."""
+    plus every currently conflicting vertex, then recreate the dissolved
+    classes."""
     work = colors.copy()
     _, heat = ctx.full_eval(work)
     sore = np.flatnonzero(heat > 0)
@@ -290,78 +303,61 @@ def _regrow_round(ctx: _Context, colors: np.ndarray, max_color: int,
         pool.update(int(v) for v in np.flatnonzero(work == c))
     pool.update(int(v) for v in sore)
     pool.difference_update(int(v) for v in np.flatnonzero(ctx.pinned))
-    work[sorted(pool)] = 0
-    remaining = set(pool)
-    for c in sorted(targets):
-        elig = sorted(v for v in remaining if ctx.color_cap[v] >= c)
-        if not elig:
-            continue
-        ok = _compatible_at(ctx, c)
-        fixed = [int(v) for v in np.flatnonzero(work == c)]
-        cls = [v for v in _grow_class(ctx, elig, fixed, ok, rng, 6)
-               if v not in fixed]
-        work[cls] = c
-        remaining -= set(cls)
-    for v in sorted(remaining):
-        cap = min(max_color, int(ctx.color_cap[v]))
-        costs = ctx.recolor_costs(v, work, max_color)[1:cap + 1]
-        minima = np.flatnonzero(costs == costs.min()) + 1
-        work[v] = int(minima[rng.randrange(len(minima))])
-    return work
+    return _recreate(ctx, work, pool, targets, max_color, rng, lambda c: 6)
 
 
-def _certify_candidate(ctx: _Context, colors: np.ndarray):
-    coloring = {lab: int(c) for lab, c in zip(ctx.labels, colors)}
-    if ctx.family == "triangle":
-        report = certify_triangle_tiling(ctx.m, coloring)
-    else:
-        report = certify_generalized_tiling(ctx.base, ctx.m, coloring)
-    return coloring, report
+def _reset(ctx: _Context, colors: np.ndarray, max_color: int
+           ) -> tuple[list[list[int]], int, list[int]]:
+    """The color classes, the penalty and the hot list (free vertices in a
+    violated condition) of `colors`, from scratch."""
+    classes: list[list[int]] = [[] for _ in range(max_color + 1)]
+    for v, c in enumerate(colors.tolist()):
+        classes[c].append(v)
+    pen, heat = ctx.full_eval(colors)
+    hot = [int(v) for v in np.flatnonzero(heat > 0) if not ctx.pinned[v]]
+    return classes, pen, hot
 
 
 def _run_restart(ctx: _Context, cfg: SearchConfig, seed: int) -> SearchOutcome:
     rng = random.Random(seed)
     colors = _peel_initial(ctx, cfg.max_color, rng)
-    classes: list[list[int]] = [[] for _ in range(cfg.max_color + 1)]
-    for v, c in enumerate(colors):
-        classes[int(c)].append(v)
-
-    pen, heat = ctx.full_eval(colors)
-    hot = [int(v) for v in np.flatnonzero(heat > 0) if not ctx.pinned[v]]
+    classes, pen, hot = _reset(ctx, colors, cfg.max_color)
     best_pen = pen
     best_colors = colors.copy()
     history = [(0, pen)]
     # tiny pressure toward small colors; never outweighs one integer deficit
     eps = 1.0 / (10.0 * ctx.n * max(cfg.max_color, 1))
-    temp = cfg.start_temp
-    recolor_w = cfg.move_weights[0] / max(sum(cfg.move_weights), 1e-9)
+    temp = _START_TEMP
     swap_lo = 2 if cfg.family == "triangle" else 1  # never swap pinned 1s
     stagnant = 0
 
-    def snapshot_if_done(iteration: int) -> Optional[SearchOutcome]:
+    def snapshot_if_done() -> Optional[SearchOutcome]:
         if pen != 0:
             return None
-        coloring, report = _certify_candidate(ctx, colors)
+        coloring = {lab: int(c) for lab, c in zip(ctx.labels, colors)}
+        if ctx.family == "triangle":
+            report = certify_triangle_tiling(ctx.m, coloring)
+        else:
+            report = certify_generalized_tiling(ctx.base, ctx.m, coloring)
         if report.status != CERTIFIED:
             raise AssertionError(
                 "zero-penalty candidate failed certification; "
                 "penalty terms out of sync with the certifier")
-        bound = _max_color_used(coloring)
-        if history[-1] != (iteration, 0):
-            history.append((iteration, 0))
-        return SearchOutcome(coloring, bound, tuple(history), 0, seed)
+        return SearchOutcome(coloring, _max_color_used(coloring),
+                             tuple(history), 0, seed)
 
-    done = snapshot_if_done(0)
+    done = snapshot_if_done()
     if done is not None:
         return done
 
     for it in range(1, cfg.iterations + 1):
         if it % _HEAT_REFRESH == 0:
-            pen_check, heat = ctx.full_eval(colors)
-            pen = pen_check
-            hot = [int(v) for v in np.flatnonzero(heat > 0)
-                   if not ctx.pinned[v]]
-        if rng.random() < recolor_w or cfg.max_color <= swap_lo:
+            kept = pen
+            classes, pen, hot = _reset(ctx, colors, cfg.max_color)
+            if pen != kept:
+                raise AssertionError(f"incremental penalty {kept} drifted"
+                                     f" from the full evaluation {pen}")
+        if rng.random() < _RECOLOR_SHARE or cfg.max_color <= swap_lo:
             if hot and rng.random() < 0.8:
                 v = hot[rng.randrange(len(hot))]
             else:
@@ -400,34 +396,22 @@ def _run_restart(ctx: _Context, cfg: SearchConfig, seed: int) -> SearchOutcome:
                 for v in classes[b]:
                     colors[v] = b
                 pen += delta
-        temp *= cfg.cooling
+        temp *= _COOLING
+        if pen >= best_pen:
+            stagnant += 1
+            if stagnant >= _STAGNATION_LIMIT:
+                colors = _regrow_round(ctx, best_colors, cfg.max_color, rng)
+                classes, pen, hot = _reset(ctx, colors, cfg.max_color)
+                temp = 0.6
+                stagnant = 0
         if pen < best_pen:
             best_pen = pen
             best_colors = colors.copy()
             history.append((it, pen))
             stagnant = 0
-            done = snapshot_if_done(it)
+            done = snapshot_if_done()
             if done is not None:
                 return done
-        else:
-            stagnant += 1
-        if stagnant >= cfg.stagnation_limit:
-            colors = _regrow_round(ctx, best_colors, cfg.max_color, rng)
-            classes = [[] for _ in range(cfg.max_color + 1)]
-            for v, c in enumerate(colors):
-                classes[int(c)].append(v)
-            pen, heat = ctx.full_eval(colors)
-            hot = [int(v) for v in np.flatnonzero(heat > 0)
-                   if not ctx.pinned[v]]
-            temp = 0.6
-            stagnant = 0
-            if pen < best_pen:
-                best_pen = pen
-                best_colors = colors.copy()
-                history.append((it, pen))
-                done = snapshot_if_done(it)
-                if done is not None:
-                    return done
 
     best = {lab: int(c) for lab, c in zip(ctx.labels, best_colors)}
     return SearchOutcome(best, None, tuple(history), best_pen, seed)

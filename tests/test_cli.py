@@ -358,12 +358,12 @@ def test_manifest_json_round_trip():
 def test_reproduce_manifest_records_settings(monkeypatch, capsys):
     monkeypatch.setenv("SIERPACK_C3_BUDGET", "42")
     monkeypatch.delenv("SIERPACK_SEARCH_BUDGET", raising=False)
-    settings = reproduce.Settings.from_env("quick", threads=2)
+    settings = reproduce.Settings.from_env("quick")
     assert settings.c3_budget == 42.0
     doc = json.loads(reproduce.new_manifest(["sierpack", "reproduce"],
                                             settings).to_json())
     got = doc["settings"]
-    assert got["profile"] == "quick" and got["threads"] == 2
+    assert got["profile"] == "quick"
     assert got["c3_budget"] == {"seconds": 42.0,
                                 "source": "SIERPACK_C3_BUDGET"}
     assert got["search_budget"] == {"seconds": 0.0, "source": "default"}

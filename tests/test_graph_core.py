@@ -34,25 +34,6 @@ from sierpack.graph_core import (
 from sierpack.sierpinski import base_graph_library, gen_generalized, gen_sierpinski
 
 
-def floyd_warshall_oracle(g):
-    """Independent all-pairs oracle: O(n^3) relaxation over the raw edge list."""
-    n = g.n
-    INF = float("inf")
-    d = [[0 if i == j else INF for j in range(n)] for i in range(n)]
-    for a, b in g.edges():
-        ia, ib = g.index(a), g.index(b)
-        d[ia][ib] = d[ib][ia] = 1
-    for k in range(n):
-        for i in range(n):
-            dik = d[i][k]
-            if dik == INF:
-                continue
-            for j in range(n):
-                if dik + d[k][j] < d[i][j]:
-                    d[i][j] = dik + d[k][j]
-    return d
-
-
 def random_graph(rng, n_max=12, p=None):
     n = rng.randint(1, n_max)
     p = rng.random() if p is None else p
@@ -67,7 +48,7 @@ def test_all_pairs_matches_floyd_warshall_on_random_graphs():
     for _ in range(120):
         g = random_graph(rng)
         dm = all_pairs_distances(g)
-        oracle = floyd_warshall_oracle(g)
+        oracle = _fw_distances(g)
         for i, a in enumerate(g.labels):
             for j, b in enumerate(g.labels):
                 got = dm.distance(a, b)
@@ -153,7 +134,7 @@ def test_all_pairs_matches_floyd_warshall_on_generated_graphs():
     for g in small:
         assert g.n <= 12
         dm = all_pairs_distances(g)
-        oracle = floyd_warshall_oracle(g)
+        oracle = _fw_distances(g)
         for i, a in enumerate(g.labels):
             for j, b in enumerate(g.labels):
                 assert dm.distance(a, b) == oracle[i][j]

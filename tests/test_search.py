@@ -239,6 +239,26 @@ def test_search_triangle_block_certifies_and_lifts():
     assert verify_packing_coloring(g6, tiled).ok
 
 
+@pytest.mark.parametrize("cfg, history, pen, bound", [
+    (SearchConfig(family="generalized", m=2, max_color=3,
+                  base=base_graph_library("K13"), seed=0, iterations=20_000),
+     ((0, 0),), 0, 3),
+    (SearchConfig(family="triangle", m=3, max_color=10, seed=4,
+                  iterations=17_000),
+     ((0, 19), (4, 18), (20, 17), (1498, 16), (3223, 15), (15992, 14),
+      (16041, 13)), 13, None),
+    (SearchConfig(family="generalized", m=3, max_color=8,
+                  base=base_graph_library("K4E"), seed=7, iterations=14_000),
+     ((0, 10), (17, 9), (139, 8), (13090, 7), (13324, 6)), 6, None),
+], ids=["K13-m2-c3", "ST3-c10", "S3K4E-c8"])
+def test_search_trajectory_is_pinned(cfg, history, pen, bound):
+    # exact trajectories: K13 certifies straight from the initial peel; the
+    # other two runs regrow at moves 15,992 and 13,054 and improve after it,
+    # so any change to the moves, the peel or the regrow shows up here
+    out = search_certified_coloring(cfg)
+    assert (out.history, out.penalty, out.certified_bound) == (history, pen, bound)
+
+
 def test_search_rejects_bad_dimension():
     with pytest.raises(DimensionOutOfRange):
         search_certified_coloring(
