@@ -7,6 +7,8 @@ from plain label-order backtracking with no capacity or symmetry pruning,
 and the coloring verifier checks same-color pairs label by label.  The
 lift-certificate margins are recomputed pair by pair from a boundary
 profile, independently of the vectorized condition table in certify.py.
+The search penalty is re-evaluated one class at a time and one vertex at a
+time from a condition table, with no incremental state.
 """
 
 from __future__ import annotations
@@ -241,3 +243,50 @@ def naive_lift_margins(family: str, m: int, block: Mapping[str, int],
         cond["single"] = min(cross(u, u) for u in members) - color
         margins[color] = cond
     return margins
+
+
+def naive_recolor_costs(table, v: int, colors: np.ndarray,
+                        max_color: int) -> np.ndarray:
+    """Search penalty contribution of vertex v under every color
+    0..max_color against the rest of `colors`, from a condition table
+    (`pair_d`, `pair_b`, `single_b`): each class member w pays toward its own
+    class's threshold colors[w] + 1, and v pays its boundary deficit."""
+    need = colors + 1
+    contrib = (np.maximum(need - table.pair_d[v], 0)
+               + np.maximum(need - table.pair_b[v], 0))
+    contrib[v] = 0
+    per_class = np.bincount(colors, weights=contrib,
+                            minlength=max_color + 1).astype(np.int64)
+    shades = np.arange(max_color + 1, dtype=np.int64)
+    per_class += np.maximum(shades + 1 - int(table.single_b[v]), 0)
+    return per_class
+
+
+def naive_class_penalty(table, members: np.ndarray, color: int) -> int:
+    """Search penalty of `members` as one class of `color`."""
+    need = color + 1
+    total = sum(max(need - int(table.single_b[u]), 0) for u in members)
+    for i, u in enumerate(members):
+        for w in members[i + 1:]:
+            total += (max(need - int(table.pair_d[u, w]), 0)
+                      + max(need - int(table.pair_b[u, w]), 0))
+    return total
+
+
+def naive_search_eval(table, colors: np.ndarray) -> tuple[int, np.ndarray]:
+    """Search penalty of `colors` and each vertex's share of violated
+    conditions, one class at a time."""
+    heat = np.zeros(len(colors), dtype=np.int64)
+    total = 0
+    for c in np.unique(colors):
+        idx = np.flatnonzero(colors == c)
+        need = np.int64(c) + 1  # colors may exceed int16
+        heat[idx] += np.maximum(need - table.single_b[idx], 0)
+        if len(idx) > 1:
+            ij = np.ix_(idx, idx)
+            pairs = (np.maximum(need - table.pair_d[ij], 0)
+                     + np.maximum(need - table.pair_b[ij], 0))
+            np.fill_diagonal(pairs, 0)
+            heat[idx] += pairs.sum(axis=1)
+        total += naive_class_penalty(table, idx, int(c))
+    return total, heat

@@ -2,15 +2,20 @@
 
 The objective is the exact sum of integer deficits against the block's
 `certify.condition_table`, the conditions the certifier's margins read,
-so zero penalty coincides with a structural certificate pass; one
-per-class deficit computation serves the full evaluation and the class
-swap.  Moves recolor one vertex (biased toward vertices that appear in
-violated conditions) or swap two whole color classes; acceptance follows
-simulated annealing with geometric cooling, and a run that stagnates
-regrows a few classes of its best coloring.  The initial peel and the
-regrow share one recreate routine; the move mix, the schedule and the
-stagnation limit are module constants.  A run is deterministic given its
-seed; restarts derive seeds and may execute in parallel, with the
+so zero penalty coincides with a structural certificate pass.  Moves
+recolor one vertex (biased toward vertices that appear in violated
+conditions) or swap two whole color classes, and are scored from the
+incremental own-color table of `_deficit`; every `_HEAT_REFRESH` moves the
+table and the penalty are rebuilt from scratch and must equal the
+incremental ones.  Acceptance follows simulated annealing with geometric
+cooling, and a run that stagnates regrows a few classes of its best
+coloring.  The initial peel and the regrow share one recreate routine; the
+move mix, the schedule and the stagnation limit are module constants.  The
+palette is bounded by the block's vertex count, since the table has one
+column per color.
+
+A run is deterministic given its seed and reports what it did as move
+counters; restarts derive seeds and may execute in parallel, with the
 reported best chosen by (certified bound, penalty, seed).
 """
 
@@ -19,26 +24,21 @@ from __future__ import annotations
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
+from ._deficit import _Context, _move, _weights
 from .certify import (
     CERTIFIED,
     certify_generalized_tiling,
     certify_triangle_tiling,
-    condition_table,
 )
 from .packing import max_color as _max_color_used
-from .sierpinski import (
-    BaseGraph,
-    DimensionOutOfRange,
-    extreme_vertices,
-    triangle_canonical,
-)
+from .sierpinski import BaseGraph, extreme_vertices, triangle_canonical
 
-_HEAT_REFRESH = 256  # moves between violation-heat refreshes
+_HEAT_REFRESH = 256  # moves between rebuilds of the table, the penalty and the heat
 _RECOLOR_SHARE = 0.9  # share of recolor moves; the rest swap two classes
 _START_TEMP = 1.5
 _COOLING = 0.9995  # geometric cooling per move
@@ -68,88 +68,31 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
+class SearchMoves:
+    """What one annealing run did, counted move by move; deterministic
+    given the seed.  Every iteration proposes one recolor or one swap."""
+
+    recolors: int            # recolor proposals
+    swaps: int               # class-swap proposals
+    noops: int               # proposals of either kind that change nothing
+    recolors_accepted: int
+    swaps_accepted: int
+    resyncs: int             # full re-evaluations, one every _HEAT_REFRESH moves
+    regrows: int             # regrow rounds after stagnation
+
+
+@dataclass(frozen=True)
 class SearchOutcome:
     """Best coloring found.  `certified_bound` is set only when the full
-    certifier confirmed the coloring, and then equals its largest color."""
+    certifier confirmed the coloring, and then equals its largest color.
+    `moves` counts the moves of the restart that produced it."""
 
     best: Mapping[str, int]
     certified_bound: Optional[int]
     history: tuple[tuple[int, int], ...]
     penalty: int
     seed: int
-
-
-class _Context:
-    """One block's condition table (see `certify.condition_table`) plus the
-    move evaluation that the search derives from it."""
-
-    def __init__(self, family: str, m: int, base: Optional[BaseGraph]):
-        if family == "triangle" and m < 1:
-            raise DimensionOutOfRange(f"triangle block dimension {m} below 1")
-        table = condition_table(family, m, base)
-        self.family = family
-        self.m = m
-        self.base = base
-        self.labels = table.labels
-        self.n = len(table.labels)
-        self.pair_d = table.pair_d
-        self.pair_b = table.pair_b
-        self.single_b = table.single_b
-        self.pinned = table.pinned
-        self.free = np.flatnonzero(~self.pinned)
-        # largest color each vertex can carry without violating its own
-        # boundary condition; recolor moves stay within these caps
-        self.color_cap = np.maximum(self.single_b - 1, 1)
-
-    def full_eval(self, colors: np.ndarray) -> tuple[int, np.ndarray]:
-        """Total penalty and per-vertex share of violated conditions."""
-        heat = np.zeros(self.n, dtype=np.int64)
-        total = 0
-        for c in np.unique(colors):
-            idx = np.flatnonzero(colors == c)
-            cost, singles, pairs = self._class_deficit(idx, int(c))
-            total += cost
-            heat[idx] += singles
-            if pairs is not None:
-                heat[idx] += pairs.sum(axis=1)
-        return total, heat
-
-    def recolor_costs(self, v: int, colors: np.ndarray,
-                      max_color: int) -> np.ndarray:
-        """Penalty contribution of vertex v under every color 1..max_color,
-        against the rest of the current coloring, in one pass: each class
-        member w pays toward its own class's threshold colors[w] + 1."""
-        need = colors + 1
-        contrib = (np.maximum(need - self.pair_d[v], 0)
-                   + np.maximum(need - self.pair_b[v], 0))
-        contrib[v] = 0
-        per_class = np.bincount(colors, weights=contrib,
-                                minlength=max_color + 1).astype(np.int64)
-        shades = np.arange(max_color + 1, dtype=np.int64)
-        per_class += np.maximum(shades + 1 - int(self.single_b[v]), 0)
-        return per_class
-
-    def _class_deficit(self, members: np.ndarray, color: int
-                       ) -> tuple[int, np.ndarray, Optional[np.ndarray]]:
-        """Penalty of `members` as one class of `color`, with its parts:
-        each member's boundary deficit and the matrix of pair deficits
-        (None below two members)."""
-        need = color + 1
-        singles = np.maximum(need - self.single_b[members], 0)
-        if len(members) < 2:
-            return int(singles.sum()), singles, None
-        ij = np.ix_(members, members)
-        pairs = (np.maximum(need - self.pair_d[ij], 0)
-                 + np.maximum(need - self.pair_b[ij], 0))
-        np.fill_diagonal(pairs, 0)
-        return int(singles.sum()) + int(pairs.sum()) // 2, singles, pairs
-
-    def delta_swap(self, a: int, b: int, classes: list[list[int]]) -> int:
-        ia = np.array(classes[a], dtype=np.intp)
-        ib = np.array(classes[b], dtype=np.intp)
-        deficit = self._class_deficit
-        return (deficit(ia, b)[0] + deficit(ib, a)[0]
-                - deficit(ia, a)[0] - deficit(ib, b)[0])
+    moves: SearchMoves
 
 
 def penalty(family: str, m: int, candidate: Mapping[str, int],
@@ -257,11 +200,15 @@ def _recreate(ctx: _Context, work: np.ndarray, pool: set[int],
         cls = [v for v in grown if v not in fixed]
         work[cls] = c
         remaining -= set(cls)
+    own = ctx.own_table(work, max_color + 1)
+    singles = ctx.singles(max_color + 1)
     for v in sorted(remaining):
         cap = min(max_color, int(ctx.color_cap[v]))
-        costs = ctx.recolor_costs(v, work, max_color)[1:cap + 1]
+        costs = (own[v] + singles[v])[1:cap + 1]
         minima = np.flatnonzero(costs == costs.min()) + 1
-        work[v] = int(minima[rng.randrange(len(minima))])
+        new = int(minima[rng.randrange(len(minima))])
+        _move(ctx, own, v, 0, new)
+        work[v] = new
     return work
 
 
@@ -307,29 +254,40 @@ def _regrow_round(ctx: _Context, colors: np.ndarray, max_color: int,
 
 
 def _reset(ctx: _Context, colors: np.ndarray, max_color: int
-           ) -> tuple[list[list[int]], int, list[int]]:
-    """The color classes, the penalty and the hot list (free vertices in a
-    violated condition) of `colors`, from scratch."""
+           ) -> tuple[list[list[int]], np.ndarray, int, list[int]]:
+    """The color classes, the own-color table, the penalty and the hot list
+    (free vertices in a violated condition) of `colors`, from scratch."""
     classes: list[list[int]] = [[] for _ in range(max_color + 1)]
     for v, c in enumerate(colors.tolist()):
         classes[c].append(v)
-    pen, heat = ctx.full_eval(colors)
+    own = ctx.own_table(colors, max_color + 1)
+    pen, heat = ctx.full_eval(colors, own)
     hot = [int(v) for v in np.flatnonzero(heat > 0) if not ctx.pinned[v]]
-    return classes, pen, hot
+    return classes, own, pen, hot
 
 
 def _run_restart(ctx: _Context, cfg: SearchConfig, seed: int) -> SearchOutcome:
     rng = random.Random(seed)
+    width = cfg.max_color + 1
     colors = _peel_initial(ctx, cfg.max_color, rng)
-    classes, pen, hot = _reset(ctx, colors, cfg.max_color)
+    classes, own, pen, hot = _reset(ctx, colors, cfg.max_color)
+    singles = ctx.singles(width)
+    weights = _weights(width)
     best_pen = pen
     best_colors = colors.copy()
     history = [(0, pen)]
+    moves = {field.name: 0 for field in fields(SearchMoves)}
     # tiny pressure toward small colors; never outweighs one integer deficit
     eps = 1.0 / (10.0 * ctx.n * max(cfg.max_color, 1))
+    ramp = eps * np.arange(width)
     temp = _START_TEMP
     swap_lo = 2 if cfg.family == "triangle" else 1  # never swap pinned 1s
     stagnant = 0
+
+    def outcome(coloring: dict[str, int], bound: Optional[int],
+                pen: int) -> SearchOutcome:
+        return SearchOutcome(coloring, bound, tuple(history), pen, seed,
+                             SearchMoves(**moves))
 
     def snapshot_if_done() -> Optional[SearchOutcome]:
         if pen != 0:
@@ -343,8 +301,7 @@ def _run_restart(ctx: _Context, cfg: SearchConfig, seed: int) -> SearchOutcome:
             raise AssertionError(
                 "zero-penalty candidate failed certification; "
                 "penalty terms out of sync with the certifier")
-        return SearchOutcome(coloring, _max_color_used(coloring),
-                             tuple(history), 0, seed)
+        return outcome(coloring, _max_color_used(coloring), 0)
 
     done = snapshot_if_done()
     if done is not None:
@@ -352,56 +309,70 @@ def _run_restart(ctx: _Context, cfg: SearchConfig, seed: int) -> SearchOutcome:
 
     for it in range(1, cfg.iterations + 1):
         if it % _HEAT_REFRESH == 0:
-            kept = pen
-            classes, pen, hot = _reset(ctx, colors, cfg.max_color)
-            if pen != kept:
-                raise AssertionError(f"incremental penalty {kept} drifted"
+            kept_own, kept_pen = own, pen
+            classes, own, pen, hot = _reset(ctx, colors, cfg.max_color)
+            moves["resyncs"] += 1
+            if not np.array_equal(own, kept_own):
+                raise AssertionError("incremental own-color table drifted"
+                                     " from the full evaluation")
+            if pen != kept_pen:
+                raise AssertionError(f"incremental penalty {kept_pen} drifted"
                                      f" from the full evaluation {pen}")
         if rng.random() < _RECOLOR_SHARE or cfg.max_color <= swap_lo:
+            moves["recolors"] += 1
             if hot and rng.random() < 0.8:
                 v = hot[rng.randrange(len(hot))]
             else:
                 v = int(ctx.free[rng.randrange(len(ctx.free))])
             old = int(colors[v])
             cap = min(cfg.max_color, int(ctx.color_cap[v]))
-            costs = ctx.recolor_costs(v, colors, cfg.max_color)
+            costs = own[v] + singles[v]
             walk = rng.random() < 0.03  # unconditional step, breaks deadlocks
             if walk or rng.random() < 0.1:
                 new = rng.randint(1, max(cap, 1))
             else:
-                scored = costs[1:cap + 1] + eps * np.arange(1, cap + 1)
-                minima = np.flatnonzero(scored == scored.min()) + 1
+                scored = costs[1:cap + 1] + ramp[1:cap + 1]
+                minima = (scored == scored.min()).nonzero()[0] + 1
                 new = int(minima[rng.randrange(len(minima))])
             if new == old:
+                moves["noops"] += 1
                 continue
             delta = int(costs[new] - costs[old])
             score = delta + eps * (new - old)
             if (walk or score <= 0
                     or rng.random() < math.exp(-score / max(temp, 1e-9))):
+                moves["recolors_accepted"] += 1
                 classes[old].remove(v)
                 classes[new].append(v)
                 colors[v] = new
+                _move(ctx, own, v, old, new)
                 pen += delta
         else:
+            moves["swaps"] += 1
             a = rng.randint(swap_lo, cfg.max_color)
             b = rng.randint(swap_lo, cfg.max_color)
             if a == b or (not classes[a] and not classes[b]):
+                moves["noops"] += 1
                 continue
-            delta = ctx.delta_swap(a, b, classes)
+            delta = ctx.swap_delta(weights, classes[a], a, classes[b], b)
             score = delta + eps * (len(classes[a]) - len(classes[b])) * (b - a)
             if score <= 0 or rng.random() < math.exp(-score / max(temp, 1e-9)):
+                moves["swaps_accepted"] += 1
                 classes[a], classes[b] = classes[b], classes[a]
                 for v in classes[a]:
                     colors[v] = a
                 for v in classes[b]:
                     colors[v] = b
+                own[:, a] = ctx.column(classes[a], a)
+                own[:, b] = ctx.column(classes[b], b)
                 pen += delta
         temp *= _COOLING
         if pen >= best_pen:
             stagnant += 1
             if stagnant >= _STAGNATION_LIMIT:
                 colors = _regrow_round(ctx, best_colors, cfg.max_color, rng)
-                classes, pen, hot = _reset(ctx, colors, cfg.max_color)
+                classes, own, pen, hot = _reset(ctx, colors, cfg.max_color)
+                moves["regrows"] += 1
                 temp = 0.6
                 stagnant = 0
         if pen < best_pen:
@@ -414,7 +385,7 @@ def _run_restart(ctx: _Context, cfg: SearchConfig, seed: int) -> SearchOutcome:
                 return done
 
     best = {lab: int(c) for lab, c in zip(ctx.labels, best_colors)}
-    return SearchOutcome(best, None, tuple(history), best_pen, seed)
+    return outcome(best, None, best_pen)
 
 
 def _outcome_key(out: SearchOutcome):
@@ -425,8 +396,14 @@ def _outcome_key(out: SearchOutcome):
 def search_certified_coloring(cfg: SearchConfig, threads: int = 1) -> SearchOutcome:
     """Run `cfg.restarts` independent annealing runs with derived seeds and
     return the best outcome; any zero-penalty candidate is confirmed by the
-    full certifier before being reported as certified."""
+    full certifier before being reported as certified.  Raises ValueError
+    when `cfg.max_color` exceeds the block's vertex count."""
     ctx = _Context(cfg.family, cfg.m, cfg.base)
+    if cfg.max_color > ctx.n:
+        # the own-color table has one column per color; a block never
+        # needs more colors than vertices
+        raise ValueError(f"max_color {cfg.max_color} exceeds the block's"
+                         f" {ctx.n} vertices")
     seeds = [cfg.seed + r for r in range(cfg.restarts)]
     if threads > 1 and cfg.restarts > 1:
         with ProcessPoolExecutor(max_workers=min(threads, cfg.restarts)) as pool:

@@ -79,9 +79,12 @@ def test_unknown_subcommand_exits_3(capsys):
       "--restarts", "0", "-o", "f"], {"f": ""}, "restarts must be >= 1, got 0"),
     (["search", "--family", "triangle", "--m", "2", "--max-color", "8",
       "--iters", "-5", "-o", "f"], {"f": ""}, "iterations must be >= 0, got -5"),
+    (["search", "--family", "triangle", "--m", "3", "--max-color", "2000000",
+      "-o", "f"], {"f": ""}, "max_color 2000000 exceeds the block's 42 vertices"),
 ], ids=["chi-disconnected", "chi-self-loop", "verify-unknown-label",
         "decide-unknown-vertex", "certify-corner-mismatch", "certify-invalid-block",
-        "search-max-color-0", "search-restarts-0", "search-negative-iters"])
+        "search-max-color-0", "search-restarts-0", "search-negative-iters",
+        "search-max-color-above-block"])
 def test_bad_input_exits_3_with_one_line(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)

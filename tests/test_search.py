@@ -5,7 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from sierpack import search
 from sierpack._data import load_coloring
+from sierpack._deficit import _Context, _move, _weights
+from sierpack._naive import naive_recolor_costs, naive_search_eval
 from sierpack.certify import (
     CERTIFIED,
     certify_generalized_tiling,
@@ -15,7 +18,7 @@ from sierpack.certify import (
 from sierpack.packing import max_color, verify_packing_coloring
 from sierpack.search import (
     SearchConfig,
-    _Context,
+    SearchMoves,
     _peel_initial,
     _triangle_independent_core,
     penalty,
@@ -89,20 +92,98 @@ def test_penalty_guards():
 def test_penalty_matches_vectorized_total_and_deltas():
     ctx = _Context("triangle", 2, None)
     rng = random.Random(7)
-    for _ in range(25):
+    for trial in range(25):
         colors = {lab: rng.randint(1, 6) for lab in ctx.labels}
         for corner in ("000", "111", "222"):
             colors[corner] = 1
+        if trial == 0:  # beyond the int16 arithmetic of `column`
+            colors[ctx.labels[4]] = 40_000
         arr = np.array([colors[lab] for lab in ctx.labels], dtype=np.int64)
         total, heat = ctx.full_eval(arr)
+        naive_total, naive_heat = naive_search_eval(ctx, arr)
+        assert total == naive_total and heat.tolist() == naive_heat.tolist()
         assert penalty("triangle", 2, colors) == total
+        if trial == 0:
+            continue
+        own = ctx.own_table(arr, 7)
+        costs = own + ctx.singles(7)
         v = rng.randrange(ctx.n)
         new = rng.randint(1, 6)
-        costs = ctx.recolor_costs(v, arr, 6)
         moved = arr.copy()
         moved[v] = new
         after, _ = ctx.full_eval(moved)
-        assert after - total == int(costs[new] - costs[arr[v]])
+        assert after - total == int(costs[v, new] - costs[v, arr[v]])
+
+
+# ------------------------------------------------- the own-color table
+
+TABLE_CASES = ([("triangle", m, None) for m in (1, 2, 3)]
+               + [("generalized", 2, base_graph_library(name))
+                  for name in ("K4E", "C4", "K13", "PAW")])
+
+
+def _check_table(ctx, colors, own, max_color):
+    width = max_color + 1
+    singles = ctx.singles(width)
+    for v in range(ctx.n):
+        assert (own[v] + singles[v]).tolist() == naive_recolor_costs(
+            ctx, v, colors, max_color).tolist()
+    assert np.array_equal(own, ctx.own_table(colors, width))
+    total, heat = naive_search_eval(ctx, colors)
+    for got, got_heat in (ctx.full_eval(colors), ctx.full_eval(colors, own)):
+        assert got == total
+        assert got_heat.tolist() == heat.tolist()
+    return total
+
+
+@pytest.mark.parametrize("family, m, base", TABLE_CASES,
+                         ids=["ST1", "ST2", "ST3", "S2K4E", "S2C4", "S2K13", "S2PAW"])
+def test_own_table_follows_moves_against_the_oracle(family, m, base):
+    ctx = _Context(family, m, base)
+    max_color = min(ctx.n, 7)
+    width = max_color + 1
+    weights = _weights(width)
+    rng = random.Random(f"{family}-{m}-{base and base.name}")
+    # a third of the block starts in the color-0 pool, as inside the
+    # recreate routine, and a few colors start empty
+    used = rng.sample(range(1, width), max(1, max_color - 2))
+    colors = np.array([0 if rng.random() < 0.33 else rng.choice(used)
+                       for _ in range(ctx.n)], dtype=np.int64)
+    own = ctx.own_table(colors, width)
+    total = _check_table(ctx, colors, own, max_color)
+    for _ in range(40):
+        if rng.random() < 0.6:
+            v = rng.randrange(ctx.n)
+            old, new = int(colors[v]), rng.randint(1, max_color)
+            if new == old:
+                continue
+            costs = own[v] + ctx.singles(width)[v]
+            delta = int(costs[new] - costs[old])
+            _move(ctx, own, v, old, new)
+            colors[v] = new
+        else:
+            a, b = rng.sample(range(1, width), 2)
+            class_a = np.flatnonzero(colors == a).tolist()
+            class_b = np.flatnonzero(colors == b).tolist()
+            delta = ctx.swap_delta(weights, class_a, a, class_b, b)
+            colors[class_a] = b
+            colors[class_b] = a
+            own[:, a] = ctx.column(class_b, a)
+            own[:, b] = ctx.column(class_a, b)
+        after = _check_table(ctx, colors, own, max_color)
+        assert after - total == delta
+        total = after
+
+
+def test_resync_catches_a_drifting_table(monkeypatch):
+    def skip_the_old_column(ctx, own, v, old, new):
+        own[:, new] += ctx.pull(v, new)
+
+    monkeypatch.setattr(search, "_move", skip_the_old_column)
+    cfg = SearchConfig(family="triangle", m=3, max_color=10, seed=4,
+                       iterations=300)
+    with pytest.raises(AssertionError, match="own-color table drifted"):
+        search_certified_coloring(cfg)
 
 
 # ----------------------------------------------------- initial structures
@@ -216,6 +297,28 @@ def test_search_parallel_restarts_match_sequential():
     assert seq.penalty == par.penalty
 
 
+def test_search_moves_survive_the_process_pool():
+    k13 = base_graph_library("K13")
+    cfg = SearchConfig(family="generalized", m=2, max_color=2, base=k13,
+                       seed=0, iterations=1_000, restarts=2)
+    seq = search_certified_coloring(cfg, threads=1)
+    par = search_certified_coloring(cfg, threads=2)
+    assert par.moves == seq.moves
+    # every iteration proposes one move; a resync every 256 of them
+    assert seq.moves.recolors + seq.moves.swaps == 1_000
+    assert seq.moves.resyncs == 3
+    assert seq.moves.noops > 0
+
+
+def test_search_rejects_more_colors_than_block_vertices():
+    with pytest.raises(ValueError, match="max_color 16 exceeds the block's 15"):
+        search_certified_coloring(
+            SearchConfig(family="triangle", m=2, max_color=16, iterations=10))
+    out = search_certified_coloring(
+        SearchConfig(family="triangle", m=2, max_color=15, iterations=10))
+    assert max(out.best.values()) <= 15
+
+
 def test_search_history_penalties_never_increase():
     k13 = base_graph_library("K13")
     cfg = SearchConfig(family="generalized", m=2, max_color=2, base=k13,
@@ -239,24 +342,31 @@ def test_search_triangle_block_certifies_and_lifts():
     assert verify_packing_coloring(g6, tiled).ok
 
 
-@pytest.mark.parametrize("cfg, history, pen, bound", [
+@pytest.mark.parametrize("cfg, history, pen, bound, moves", [
     (SearchConfig(family="generalized", m=2, max_color=3,
                   base=base_graph_library("K13"), seed=0, iterations=20_000),
-     ((0, 0),), 0, 3),
+     ((0, 0),), 0, 3, SearchMoves(0, 0, 0, 0, 0, 0, 0)),
     (SearchConfig(family="triangle", m=3, max_color=10, seed=4,
                   iterations=17_000),
      ((0, 19), (4, 18), (20, 17), (1498, 16), (3223, 15), (15992, 14),
-      (16041, 13)), 13, None),
+      (16041, 13)), 13, None,
+     SearchMoves(recolors=15_337, swaps=1_663, noops=12_905,
+                 recolors_accepted=1_347, swaps_accepted=150, resyncs=66,
+                 regrows=1)),
     (SearchConfig(family="generalized", m=3, max_color=8,
                   base=base_graph_library("K4E"), seed=7, iterations=14_000),
-     ((0, 10), (17, 9), (139, 8), (13090, 7), (13324, 6)), 6, None),
+     ((0, 10), (17, 9), (139, 8), (13090, 7), (13324, 6)), 6, None,
+     SearchMoves(recolors=12_646, swaps=1_354, noops=10_727,
+                 recolors_accepted=1_167, swaps_accepted=77, resyncs=54,
+                 regrows=1)),
 ], ids=["K13-m2-c3", "ST3-c10", "S3K4E-c8"])
-def test_search_trajectory_is_pinned(cfg, history, pen, bound):
+def test_search_trajectory_is_pinned(cfg, history, pen, bound, moves):
     # exact trajectories: K13 certifies straight from the initial peel; the
     # other two runs regrow at moves 15,992 and 13,054 and improve after it,
     # so any change to the moves, the peel or the regrow shows up here
     out = search_certified_coloring(cfg)
     assert (out.history, out.penalty, out.certified_bound) == (history, pen, bound)
+    assert out.moves == moves
 
 
 def test_search_rejects_bad_dimension():
