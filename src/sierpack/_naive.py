@@ -2,7 +2,8 @@
 
 Deliberately shares no algorithmic machinery with packing.py or with the
 multi-source BFS kernel of graph_core.py: distances come from a
-Floyd-Warshall sweep or from one frontier BFS per source, colorability
+Floyd-Warshall sweep or from one frontier BFS per source over a CSR
+adjacency built here from the graph's neighbor lists, colorability
 from plain label-order backtracking with no capacity or symmetry pruning,
 and the coloring verifier checks same-color pairs label by label.  The
 lift-certificate margins are recomputed pair by pair from a boundary
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -25,13 +26,21 @@ from .packing import ViolationReport
 from .sierpinski import BaseGraph, extreme_vertices, gen_generalized, gen_triangle
 
 
-def _bfs_fill(g: Graph, source: int, depth_limit: int | None = None) -> np.ndarray:
+def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's own CSR adjacency, built from the neighbor index lists."""
+    indptr = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in g._adj], out=indptr[1:])
+    indices = np.fromiter(chain.from_iterable(g._adj), dtype=np.int64, count=int(indptr[-1]))
+    return indptr, indices
+
+
+def _bfs_fill(csr: tuple[np.ndarray, np.ndarray], source: int,
+              depth_limit: int | None = None) -> np.ndarray:
     """Distance array from one source; -1 marks not reached (or beyond the limit)."""
-    n = g.n
-    dist = np.full(n, -1, dtype=np.int32)
+    indptr, indices = csr
+    dist = np.full(len(indptr) - 1, -1, dtype=np.int32)
     dist[source] = 0
-    frontier = np.array([source], dtype=np.int32)
-    indptr, indices = g._indptr, g._indices
+    frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
         if depth_limit is not None and d >= depth_limit:
@@ -55,7 +64,7 @@ def _bfs_fill(g: Graph, source: int, depth_limit: int | None = None) -> np.ndarr
 
 def naive_bfs_distances(g: Graph, source: str,
                         depth_limit: int | None = None) -> dict[str, int]:
-    dist = _bfs_fill(g, g.index(source), depth_limit)
+    dist = _bfs_fill(_csr(g), g.index(source), depth_limit)
     labels = g.labels
     return {labels[i]: int(d) for i, d in enumerate(dist) if d >= 0}
 
@@ -63,9 +72,10 @@ def naive_bfs_distances(g: Graph, source: str,
 def naive_all_pairs_distances(g: Graph) -> DistanceMatrix:
     """The all-pairs table, one frontier BFS per source."""
     n = g.n
+    csr = _csr(g)
     mat = np.full((n, n), UNREACHABLE, dtype=np.uint16)
     for s in range(n):
-        dist = _bfs_fill(g, s)
+        dist = _bfs_fill(csr, s)
         reached = dist >= 0
         mat[s, reached] = dist[reached].astype(np.uint16)
     return DistanceMatrix(labels=g.labels, matrix=mat, index=g._index)
@@ -83,14 +93,16 @@ def naive_verify_packing_coloring(g: Graph, c: Mapping[str, int]) -> ViolationRe
         classes.setdefault(col, []).append(lab)
     uncolored = sorted(lab for lab in g.labels if lab not in c)
     violations = set()
+    csr = _csr(g)
     for col, members in classes.items():
         member_set = set(members)
         for u in members:
-            near = naive_bfs_distances(g, u, depth_limit=col)
-            for v, d in near.items():
-                if v != u and v in member_set:
+            dist = _bfs_fill(csr, g.index(u), depth_limit=col)
+            for i in np.flatnonzero(dist > 0).tolist():
+                v = g.labels[i]
+                if v in member_set:
                     a, b = (u, v) if u <= v else (v, u)
-                    violations.add((col, a, b, d))
+                    violations.add((col, a, b, int(dist[i])))
     return ViolationReport(ok=not violations and not uncolored,
                            violations=sorted(violations), uncolored=uncolored)
 

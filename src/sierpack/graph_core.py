@@ -1,12 +1,13 @@
 """Shared graph substrate: labelled graphs, BFS metric queries, embeddings, file I/O.
 
-Vertices carry string labels.  Internally a graph is stored as a CSR-style
-adjacency over dense integer indices, and every distance query runs on one
-kernel, `_sweep`: a bit-parallel multi-source BFS (MS-BFS, Then et al.,
-PVLDB 2014) that advances up to `_BATCH` sources one level per numpy pass,
-one bit per source.  All-pairs distances, the exact diameter, single-source
-BFS and the packing verifier are built on it; everything user-facing
-speaks labels.
+Vertices carry string labels.  Internally a graph is stored over dense
+integer indices as a slot-major padded adjacency (the ELL/HYB layout of
+Bell & Garland, SC 2009), and every distance query runs on one kernel,
+`_sweep`: a bit-parallel multi-source BFS (MS-BFS, Then et al., PVLDB 2014)
+that advances up to `_BATCH` sources one level per numpy pass, one bit per
+source, by ORing one gather per neighbor slot.  All-pairs distances, the
+exact diameter, single-source BFS and the packing verifier are built on
+it; everything user-facing speaks labels.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ class Graph:
     duplicate labels are construction errors.
     """
 
-    __slots__ = ("labels", "_index", "_adj", "_indptr", "_indices", "_edge_count")
+    __slots__ = ("labels", "_index", "_adj", "_ell", "_tail", "_edge_count")
 
     def __init__(self, labels: Iterable[str], edges: Iterable[tuple[str, str]]):
         self.labels: tuple[str, ...] = tuple(labels)
@@ -85,20 +86,27 @@ class Graph:
                 count += 1
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in nbr_sets)
         self._edge_count = count
-        # CSR arrays for the BFS kernel.  `indices` ends in one extra entry,
-        # n, naming the kernel's all-zero pad row: every offset of
-        # indptr[:-1] is then a valid `reduceat` start, even when trailing
-        # vertices have degree 0, without clamping any offset (a clamped
-        # offset would cut the last neighbor off the list before it)
-        indptr = np.zeros(n + 1, dtype=np.int64)
+        # Slot-major padded adjacency for the BFS kernel (ELL/HYB, Bell &
+        # Garland, SC 2009): slot j of column i is i's j-th neighbor, or n,
+        # the kernel's all-zero pad row.  The width is the maximum degree
+        # unless padding to it would more than double the CSR size; then it
+        # is the median degree, and the neighbors past it go to a short CSR
+        # tail (rows, segment starts, neighbors), so that a star does not
+        # pad to n * n
+        degrees = sorted(map(len, self._adj))
+        width = degrees[-1] if n else 0
+        if width * n > 2 * (2 * count + n):
+            width = degrees[n // 2]
+        ell = self._ell = np.full((width, n), n, dtype=np.intp)
+        tail_rows, tail_starts, tail_nbrs = [], [], []
         for i, nbrs in enumerate(self._adj):
-            indptr[i + 1] = indptr[i] + len(nbrs)
-        indices = np.empty(indptr[-1] + 1, dtype=np.int32)
-        for i, nbrs in enumerate(self._adj):
-            indices[indptr[i]:indptr[i + 1]] = nbrs
-        indices[-1] = n
-        self._indptr = indptr
-        self._indices = indices
+            ell[:len(nbrs), i] = nbrs[:width]
+            if len(nbrs) > width:
+                tail_rows.append(i)
+                tail_starts.append(len(tail_nbrs))
+                tail_nbrs += nbrs[width:]
+        self._tail = (np.array(tail_rows, dtype=np.intp), np.array(tail_starts, dtype=np.intp),
+                      np.array(tail_nbrs, dtype=np.intp)) if tail_rows else None
 
     @property
     def n(self) -> int:
@@ -177,12 +185,12 @@ def _sweep(g: Graph, sources, depth_limit: int | None = None
     front = np.zeros((n + 1, (width + 63) // 64), dtype=np.uint64)  # row n: the pad
     front[src, j // 64] = np.uint64(1) << (j % 64).astype(np.uint64)
     visited = front[:n].copy()
-    starts = g._indptr[:-1]
-    isolated = starts == g._indptr[1:]  # reduceat returns a stray row for these
     d = 0
     while depth_limit is None or d < depth_limit:
-        reached = np.bitwise_or.reduceat(np.take(front, g._indices, axis=0), starts, axis=0)
-        reached[isolated] = 0
+        reached = np.bitwise_or.reduce(np.take(front, g._ell, axis=0), axis=0)
+        if g._tail is not None:
+            rows, starts, nbrs = g._tail
+            reached[rows] |= np.bitwise_or.reduceat(np.take(front, nbrs, axis=0), starts, axis=0)
         reached &= ~visited
         if not reached.any():
             return
@@ -273,8 +281,11 @@ def diameter(g: Graph) -> int:
     """Exact diameter via double sweep plus the iFUB level-pruning scheme
     (Crescenzi et al., TCS 2013).
 
-    Each fringe level is swept in batches of sources: the eccentricity of a
-    batch, the largest of its members', is its number of levels.
+    The fringe is swept deepest level first in full batches of sources,
+    across level boundaries: the eccentricity of a batch, the largest of its
+    members', is its number of levels.  Once every vertex left lies within
+    level l of the root with 2 * l <= the bound, every pair left lies within
+    the bound through the root, so the bound is exact.
     """
     n = g.n
     if n == 0:
@@ -295,13 +306,12 @@ def diameter(g: Graph) -> int:
     on_path = np.flatnonzero((da + db) == da[b])
     root = int(on_path[np.abs(da[on_path] - half).argmin()])
     dr = _distances(g, root)
-    ecc_r = int(dr.max())
-    lb = max(lb, ecc_r)
-    for lvl in range(ecc_r, 0, -1):  # deepest levels first
-        for batch in _batches(np.flatnonzero(dr == lvl)):
-            if 2 * lvl <= lb:
-                return lb  # every pair left lies within 2 * lvl through the root
-            lb = max(lb, sum(1 for _ in _sweep(g, batch)))
+    lb = max(lb, int(dr.max()))
+    fringe = np.argsort(-dr, kind="stable")  # deepest levels first
+    for batch in _batches(fringe):
+        if 2 * dr[batch[0]] <= lb:
+            break
+        lb = max(lb, sum(1 for _ in _sweep(g, batch[2 * dr[batch] > lb])))
     return lb
 
 

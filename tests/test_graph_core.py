@@ -31,7 +31,7 @@ from sierpack.graph_core import (
     parse_map_text,
     verify_subgraph_embedding,
 )
-from sierpack.sierpinski import base_graph_library, gen_generalized, gen_sierpinski
+from sierpack.sierpinski import base_graph_library, gen_generalized, gen_sierpinski, gen_triangle
 
 
 def random_graph(rng, n_max=12, p=None):
@@ -64,8 +64,8 @@ def numbered_graph(n, edges):
 
 
 def sparse_graph(n, seed):
-    """A sparse G(n, p): often disconnected, with isolated vertices
-    anywhere in the CSR, the last ones included."""
+    """A sparse G(n, p): often disconnected, with isolated vertices (columns
+    of pad entries only) anywhere, the last ones included."""
     rng = random.Random(seed)
     p = rng.uniform(0, 3 / n)
     return numbered_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
@@ -75,16 +75,35 @@ def sparse_graph(n, seed):
 # the kernel's trap cases, each a reason for one of its lines
 KERNEL_CASES = {
     "one-vertex": numbered_graph(1, []),
-    "edgeless": numbered_graph(5, []),
-    # reduceat reads one row past a degree-0 vertex's empty neighbor list,
-    # and a degree-0 last vertex starts at the end of the list: clamping
-    # that offset would cut vertex 2's last neighbor off
+    "edgeless": numbered_graph(5, []),  # width 0: each level ORs no slot at all
+    # degree-0 vertices, last and inside: every slot of theirs is the pad row
     "last-isolated": numbered_graph(4, [(0, 2), (1, 2)]),
     "isolated-inside": numbered_graph(7, [(0, 4), (1, 4), (4, 2), (5, 6)]),
     "two-components": numbered_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]),
     "path-70": numbered_graph(71, [(i, i + 1) for i in range(69)]),  # > 64 sources, one isolated
     "sparse-600": sparse_graph(600, 600),  # three batches of sources
+    # too uneven to pad to the maximum degree: the slots stop at the median
+    # degree and the neighbors past it come from the CSR tail
+    "star-300": numbered_graph(300, [(0, i) for i in range(1, 300)]
+                               + [(1, 2), (5, 9), (100, 200), (298, 299)]),
+    "hub-among-isolated": numbered_graph(300, [(0, i) for i in range(1, 7)]),  # tail only
+    "hubs-and-path": numbered_graph(240, [(i, i + 1) for i in range(219)]
+                                    + [(220, i) for i in range(50)]
+                                    + [(221, i) for i in range(100, 220, 4)]
+                                    + [(222, i) for i in (220, 221, *range(223, 240))]),
 }
+
+
+def test_uneven_trap_cases_take_the_tail():
+    for name, width in (("star-300", 1), ("hub-among-isolated", 0), ("hubs-and-path", 2)):
+        g = KERNEL_CASES[name]
+        assert g._ell.shape == (width, g.n)
+        rows, starts, nbrs = g._tail
+        degrees = np.array([len(g.neighbor_indices(i)) for i in range(g.n)])
+        assert rows.tolist() == np.flatnonzero(degrees > width).tolist()
+        assert len(nbrs) == int((degrees[rows] - width).sum())
+    assert KERNEL_CASES["path-70"]._ell.shape == (2, 71)
+    assert KERNEL_CASES["path-70"]._tail is None
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
@@ -92,7 +111,7 @@ def test_kernel_matches_per_source_oracle_on_trap_cases(name):
     g = KERNEL_CASES[name]
     got = all_pairs_distances(g).matrix
     assert np.array_equal(got, naive_all_pairs_distances(g).matrix)
-    if g.n <= 71:
+    if g.n <= 300:
         fw = np.array(_fw_distances(g))
         assert np.array_equal(got, np.where(np.isinf(fw), UNREACHABLE, fw))
     for src in g.labels[:3] + g.labels[-3:]:
@@ -109,12 +128,9 @@ def test_kernel_all_pairs_matches_per_source_oracle(seed):
                           naive_all_pairs_distances(g).matrix)
 
 
-def test_diameter_sweeps_a_fringe_level_larger_than_one_batch(monkeypatch):
-    # C4 blown up to groups of 130: from any root, level 2 holds 259
-    # vertices, and iFUB must sweep it (2 * 2 > the double-sweep bound 2)
-    s = 130
-    g = numbered_graph(4 * s, [(a * s + i, (a + 1) % 4 * s + j)
-                               for a in range(4) for i in range(s) for j in range(s)])
+@pytest.fixture
+def sweep_widths(monkeypatch):
+    """The number of sources of every `_sweep` call, in call order."""
     widths = []
     real = graph_core._sweep
 
@@ -123,9 +139,38 @@ def test_diameter_sweeps_a_fringe_level_larger_than_one_batch(monkeypatch):
         return real(g, sources, depth_limit)
 
     monkeypatch.setattr(graph_core, "_sweep", counted)
+    return widths
+
+
+def test_diameter_sweeps_a_fringe_level_larger_than_one_batch(sweep_widths):
+    # C4 blown up to groups of 130: from any root, level 2 holds 259
+    # vertices, and iFUB must sweep it (2 * 2 > the double-sweep bound 2)
+    s = 130
+    g = numbered_graph(4 * s, [(a * s + i, (a + 1) % 4 * s + j)
+                               for a in range(4) for i in range(s) for j in range(s)])
     assert diameter(g) == int(naive_all_pairs_distances(g).matrix.max()) == 2
     # the double sweep and the root, then the 259-vertex fringe in two batches
-    assert widths == [1, 1, 1, 1, _BATCH, 259 - _BATCH]
+    assert sweep_widths == [1, 1, 1, 1, _BATCH, 259 - _BATCH]
+
+
+def test_diameter_sweeps_the_fringe_in_full_batches_across_levels(sweep_widths):
+    # ST^7: the fringe levels hold 4 to 20 vertices each; batched across
+    # level boundaries they fill four full sweeps and one of 69
+    assert diameter(gen_triangle(7)) == 128
+    assert sweep_widths == [1, 1, 1, 1, 256, 256, 256, 256, 69]
+
+
+def random_tree(n, seed):
+    rng = random.Random(seed)
+    return numbered_graph(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize("g", [gen_triangle(5), gen_sierpinski(4, 5), random_tree(600, 600)],
+                         ids=["ST5", "S4_5", "tree-600"])
+def test_diameter_matches_the_all_pairs_oracle(g):
+    # ST^5 sweeps 16 fringe levels in one batch, S^4_5 two batches of
+    # several levels; in a tree the root is the center and ends the scan
+    assert diameter(g) == int(naive_all_pairs_distances(g).matrix.max())
 
 
 def test_all_pairs_matches_floyd_warshall_on_generated_graphs():
