@@ -252,6 +252,8 @@ def _certify(family: str, m: int, block: Coloring, base: BaseGraph | None,
              mode: str, depth: int) -> CertificateReport:
     """Validate the block, read its margins off the condition table, then
     verify the tilings at m+1..m+depth exhaustively."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     g = _valid_block(family, m, block, base)
     margins = _margins(_conditions(g, family, m, base, mode), block)
     mode = "triangle" if family == "triangle" else mode

@@ -261,12 +261,14 @@ class DistanceMatrix:
 _ALL_PAIRS_LIMIT = 5000
 
 
-def all_pairs_distances(g: Graph, limit: int = _ALL_PAIRS_LIMIT) -> DistanceMatrix:
-    """Materialize the full distance matrix.  Refuses graphs above `limit`
-    vertices; metric queries on larger graphs should go through bounded BFS."""
+def all_pairs_distances(g: Graph) -> DistanceMatrix:
+    """Materialize the full distance matrix.  Refuses graphs above
+    `_ALL_PAIRS_LIMIT` vertices; metric queries on larger graphs should go
+    through bounded BFS."""
     n = g.n
-    if n > limit:
-        raise TooLarge(f"all-pairs table for {n} vertices exceeds the {limit} vertex limit")
+    if n > _ALL_PAIRS_LIMIT:
+        raise TooLarge(f"all-pairs table for {n} vertices exceeds the"
+                       f" {_ALL_PAIRS_LIMIT} vertex limit")
     mat = np.full((n, n), UNREACHABLE, dtype=np.uint16)
     np.fill_diagonal(mat, 0)
     for batch in _batches(np.arange(n)):
@@ -432,12 +434,3 @@ def parse_map_text(text: str) -> EmbeddingMap:
         pairs[parts[0]] = parts[1]
     return EmbeddingMap(pairs=pairs)
 
-
-def read_map(path) -> EmbeddingMap:
-    with open(path, encoding="utf-8") as fh:
-        return parse_map_text(fh.read())
-
-
-def write_map(path, m: EmbeddingMap) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_map_text(m))

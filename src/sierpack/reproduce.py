@@ -28,15 +28,15 @@ import numpy as np
 from . import __version__
 from ._data import MissingData, load_coloring, load_graph
 from ._naive import naive_chi_rho, random_connected_graphs
-from .certify import (CERTIFIED, EMPIRICAL, CertifyError, build_k4e_eleven_coloring,
+from .certify import (CERTIFIED, CertifyError, build_k4e_eleven_coloring,
                       certify_generalized_tiling, lower_bound_closed_form,
                       lower_bound_sequence, monotonicity_check)
 from .graph_core import Graph, GraphError, diameter, induced_subgraph
-from .packing import (EXACT, SAT, UNSAT, ColorConstraints, chi_rho, is_packing_k_colorable,
-                      max_color, verify_packing_coloring)
+from .packing import (EXACT, SAT, UNSAT, ColorConstraints, Coloring, chi_rho,
+                      is_packing_k_colorable, max_color, verify_packing_coloring)
 from .search import SearchConfig, search_certified_coloring
-from .sierpinski import (base_graph_library, gen_generalized, gen_sierpinski, gen_triangle,
-                         gen_triangle_recursive)
+from .sierpinski import (base_graph_library, block_vertices, gen_generalized, gen_sierpinski,
+                         gen_triangle, gen_triangle_recursive)
 
 _DATA_FILES = (
     "fig5_s3c4.coloring", "fig7_s2k13.coloring", "fig10_s2k4e.coloring",
@@ -46,8 +46,8 @@ _DATA_FILES = (
     "s23_into_s2k4e.map",
 )
 
-# solver budgets of the rows, in seconds; the direct 48-vertex budget and
-# the extra search budget are `Settings`
+# solver budgets of the rows, in seconds; the direct 48-vertex budget is
+# `Settings`
 _EXACT_BUDGET = 60.0
 _UNSAT_BUDGET = 300.0
 _ANCHOR_BUDGET = 600.0
@@ -121,30 +121,23 @@ class RunManifest:
 
 @dataclass(frozen=True)
 class Settings:
-    """The inputs of a run: the profile, the direct 48-vertex budget and the
-    extra search budget, each budget with the variable that set it, or
-    "default"."""
+    """The inputs of a run: the profile and the direct 48-vertex budget, with
+    the variable that set the budget, or "default"."""
 
     profile: str = "quick"
     c3_budget: float = _C3_BUDGET["quick"]
-    search_budget: float = 0.0
     c3_source: str = "default"
-    search_source: str = "default"
 
     @classmethod
     def from_env(cls, profile: str = "quick") -> Settings:
-        """The profile's budgets, overridden by SIERPACK_C3_BUDGET and
-        SIERPACK_SEARCH_BUDGET where those are set."""
-        c3, c3_source = _env_seconds("SIERPACK_C3_BUDGET", _C3_BUDGET[profile])
-        extra, extra_source = _env_seconds("SIERPACK_SEARCH_BUDGET", 0.0)
-        return cls(profile, c3, extra, c3_source, extra_source)
+        """The profile's budget, overridden by SIERPACK_C3_BUDGET where that
+        is set."""
+        return cls(profile, *_env_seconds("SIERPACK_C3_BUDGET", _C3_BUDGET[profile]))
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "profile": self.profile,
             "c3_budget": {"seconds": self.c3_budget, "source": self.c3_source},
-            "search_budget": {"seconds": self.search_budget,
-                              "source": self.search_source},
             "python": platform.python_version(),
             "numpy": np.__version__,
         }
@@ -170,8 +163,7 @@ def _hash_data_files() -> dict[str, str]:
         try:
             raw = (resources.files("sierpack") / "data" / name).read_bytes()
         except FileNotFoundError:
-            hashes[name] = "MISSING"
-            continue
+            raise MissingData(f"packaged data file {name!r} not found") from None
         hashes[name] = hashlib.sha256(raw).hexdigest()
     return hashes
 
@@ -179,11 +171,7 @@ def _hash_data_files() -> dict[str, str]:
 def new_manifest(command: Sequence[str], settings: Settings) -> RunManifest:
     """The manifest of a reproduce run before any row has run: the hashes
     of the packaged data and the settings in effect."""
-    inputs = _hash_data_files()
-    missing = [name for name, digest in inputs.items() if digest == "MISSING"]
-    if missing:
-        raise MissingData(f"packaged data file {missing[0]!r} not found")
-    return RunManifest(command=list(command), inputs=inputs,
+    return RunManifest(command=list(command), inputs=_hash_data_files(),
                        settings=settings.as_dict())
 
 
@@ -255,11 +243,10 @@ def _family_graph(name: str) -> Graph:
     raise ValueError(f"no instance named {name!r}")
 
 
-def _side_labels(digit: str) -> list[str]:
+def _side_labels(digit: str) -> set[str]:
     """Labels of the blocks dS^2, 0dS^1, 2dS^1 inside S^3 over a 4-letter
     alphabet."""
-    return ([digit + a + b for a in "0123" for b in "0123"]
-            + ["0" + digit + a for a in "0123"] + ["2" + digit + a for a in "0123"])
+    return set().union(*(block_vertices(w, 3, 4) for w in (digit, "0" + digit, "2" + digit)))
 
 
 _EXACT_VALUES = (  # (instance, packing chromatic number)
@@ -303,7 +290,7 @@ def _unsat(graph: str, k: int, banned: tuple[str, ...], ctx: Context) -> Outcome
 def _dim3_union() -> Graph:
     """The 48-vertex witness that 7 colors cannot cover dimension 3 over
     K4-e: the side graphs of digits 3 and 1 inside S3_K4E."""
-    return induced_subgraph(_family_graph("S3_K4E"), _side_labels("3") + _side_labels("1"))
+    return induced_subgraph(_family_graph("S3_K4E"), _side_labels("3") | _side_labels("1"))
 
 
 def _dim3(ctx: Context) -> Outcome:
@@ -315,6 +302,11 @@ def _dim3(ctx: Context) -> Outcome:
         return Outcome("fail", "solver found a 7-coloring")
     return Outcome("fail", f"UNSAT not proven: solve exceeded {budget:g}s"
                    f" after {res.nodes_explored} nodes")
+
+
+def _coloring(source: str) -> Coloring:
+    """A shipped coloring file, or the built 11-coloring for "eleven"."""
+    return build_k4e_eleven_coloring() if source == "eleven" else load_coloring(source)
 
 
 _SHIPPED = (  # (coloring file or the built "eleven", instance, top color)
@@ -329,8 +321,7 @@ _SHIPPED = (  # (coloring file or the built "eleven", instance, top color)
 
 
 def _verify(source: str, graph: str, top: int, ctx: Context) -> Outcome:
-    coloring = (build_k4e_eleven_coloring() if source == "eleven"
-                else load_coloring(source))
+    coloring = _coloring(source)
     report = verify_packing_coloring(_family_graph(graph), coloring)
     detail = "valid" if report.ok else \
         f"violations {report.violations[:2]} uncolored {len(report.uncolored)}"
@@ -338,26 +329,17 @@ def _verify(source: str, graph: str, top: int, ctx: Context) -> Outcome:
                    f"{detail}, max {max_color(coloring)}")
 
 
-_BLOCKS = (  # (row suffix, block coloring, base, block dimension)
+_BLOCKS = (  # (row suffix, coloring file or the built "eleven", base, block dimension)
     ("fig5", "fig5_s3c4.coloring", "C4", 3),
     ("fig7", "fig7_s2k13.coloring", "K13", 2),
+    ("eleven", "eleven", "K4E", 5),
 )
 
 
 def _certify(source: str, base: str, m: int, ctx: Context) -> Outcome:
-    report = certify_generalized_tiling(base_graph_library(base), m,
-                                        load_coloring(source))
+    report = certify_generalized_tiling(base_graph_library(base), m, _coloring(source))
     return Outcome(_ok(report.status == CERTIFIED),
                    f"{report.status} depth {report.max_dimension}",
-                   report.max_dimension)
-
-
-def _certify_eleven(ctx: Context) -> Outcome:
-    report = certify_generalized_tiling(base_graph_library("K4E"), 5,
-                                        build_k4e_eleven_coloring())
-    ok = report.status == CERTIFIED or (
-        report.status == EMPIRICAL and report.max_dimension == 7)
-    return Outcome(_ok(ok), f"{report.status} depth {report.max_dimension}",
                    report.max_dimension)
 
 
@@ -365,7 +347,7 @@ def _tile(cert: str, m: int, ctx: Context) -> Outcome:
     # the certify backstop of the block verifies its m+1 and m+2 tilings
     # exhaustively; this row surfaces that
     depth = ctx.done[cert].value
-    return Outcome(_ok(depth is not None and depth >= m + 2), f"verified"
+    return Outcome(_ok(depth >= m + 2), f"verified"
                    f" exhaustively through dimension {depth} while certifying")
 
 
@@ -394,42 +376,23 @@ def _bounds_anchor(ctx: Context) -> Outcome:
 
 # ----------------------------------------------------------- block search
 #
-# Both rows replay known-good seeds of the triangle family at dimension 5.
+# Both rows replay known-good seeds of the triangle family at dimension 5;
+# the replays are deterministic, so a row passes only on a certificate.
 
 
-def _search_certified(ctx: Context) -> Outcome:
-    cfg = SearchConfig(family="triangle", m=5, max_color=33, seed=5,
-                       iterations=60_000)
-    out = search_certified_coloring(cfg)
+def _search(max_color: int, seed: int, iterations: int, ctx: Context) -> Outcome:
+    out = search_certified_coloring(SearchConfig(family="triangle", m=5, max_color=max_color,
+                                                 seed=seed, iterations=iterations))
     if out.certified_bound is None:
         return Outcome("fail", f"no certificate, penalty {out.penalty}")
     return Outcome("pass", f"certified bound {out.certified_bound}",
                    out.certified_bound)
 
 
-def _search_target(ctx: Context) -> Outcome:
-    """Replay seed 32 at 31 colors; if it ever misses, try fresh seeds
-    until the extra search budget runs out."""
-    def replay(seed: int):
-        cfg = SearchConfig(family="triangle", m=5, max_color=31, seed=seed,
-                           iterations=500_000)
-        return search_certified_coloring(cfg)
-
-    out = replay(32)
-    deadline = time.monotonic() + ctx.settings.search_budget
-    seed = 100
-    while out.certified_bound is None and time.monotonic() < deadline:
-        out = replay(seed)
-        seed += 1
-    return Outcome("pass" if out.certified_bound is not None else "report",
-                   f"bound {out.certified_bound}, penalty {out.penalty}",
-                   out.certified_bound)
-
-
 def _search_best(ctx: Context) -> Outcome:
-    bounds = [ctx.done[name].value for name in ("search.certified", "search.target")]
-    bounds = [b for b in bounds if b is not None]
-    return Outcome("report", str(min(bounds)) if bounds else "none")
+    # both premises passed, so both carry a certified bound
+    return Outcome("report", str(min(ctx.done[name].value
+                                     for name in ("search.certified", "search.target"))))
 
 
 def _structure_counts(ctx: Context) -> Outcome:
@@ -494,19 +457,16 @@ TABLE: tuple[Check, ...] = (
             partial(_verify, src, g, top)) for src, g, top in _SHIPPED),
     *(Check(f"cert.{name}", f"{src} lift certificate is CERTIFIED",
             partial(_certify, src, base, m)) for name, src, base, m in _BLOCKS),
-    Check("cert.eleven", "11-coloring certifies (or verifies through depth 7)", _certify_eleven),
     *(Check(f"tile.{name}", f"{src} tiles to the next two dimensions",
             partial(_tile, f"cert.{name}", m), (f"cert.{name}",))
       for name, src, _, m in _BLOCKS),
-    Check("tile.eleven", "11-coloring tiles to the next two dimensions",
-          partial(_tile, "cert.eleven", 5), ("cert.eleven",)),
     Check("bounds.forms", "closed form equals the recurrence for k=4..10, n<=30", _bounds_forms),
     Check("bounds.monotone", "bound sequences are strictly increasing", _bounds_monotone),
     Check("bounds.anchor", "a_2 = 10 for k=4 and the solver confirms chi_rho(S2_4) >= 10",
           _bounds_anchor),
     Check("search.certified", "search finds a certified triangle block coloring at dimension 5",
-          _search_certified),
-    Check("search.target", "certified bound reaches 31", _search_target),
+          partial(_search, 33, 5, 60_000)),
+    Check("search.target", "certified bound reaches 31", partial(_search, 31, 32, 500_000)),
     Check("search.best", "best certified bound achieved", _search_best,
           ("search.certified", "search.target")),
     Check("structure.counts", "k^n vertices and e(k^n-1)/(k-1) edges", _structure_counts),

@@ -35,7 +35,7 @@ class InvalidBaseGraph(GraphError):
 
 _MAX_GENERALIZED_N = 12
 _MAX_TRIANGLE_N = 9
-_MAX_VERTICES = 20_000_000  # hard memory guard, liftable via allow_large
+_MAX_VERTICES = 20_000_000  # hard memory guard
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ class BaseGraph:
                     stack.append(w)
         if len(seen) != self.k:
             raise InvalidBaseGraph(f"base graph {self.name} is not connected")
-
-    def graph(self) -> Graph:
-        """The base graph itself as a labelled Graph (single-digit labels)."""
-        return build_graph([DIGITS[i] for i in range(self.k)],
-                           [(DIGITS[x], DIGITS[y]) for x, y in self.edges])
 
     def degree_of(self, digit: int) -> int:
         return sum(1 for x, y in self.edges if digit in (x, y))
@@ -111,21 +106,21 @@ def base_graph_library(name: str) -> BaseGraph:
     raise UnknownName(f"no base graph named {name!r}")
 
 
-def _check_size(n: int, k: int, n_max: int, allow_large: bool) -> None:
-    if n < 1 or (not allow_large and n > n_max):
+def _check_size(n: int, k: int, n_max: int) -> None:
+    if not 1 <= n <= n_max:
         raise DimensionOutOfRange(f"dimension {n} outside 1..{n_max}")
     if k ** n > _MAX_VERTICES:
         raise DimensionOutOfRange(f"{k}^{n} vertices exceeds the {_MAX_VERTICES} guard")
 
 
-def gen_generalized(n: int, g: BaseGraph, allow_large: bool = False) -> Graph:
+def gen_generalized(n: int, g: BaseGraph) -> Graph:
     """Generalized Sierpinski graph S^n_G on all k^n digit words.
 
     For every prefix w and base edge {x, y} there is an edge
     {w x y^(n-|w|-1), w y x^(n-|w|-1)}; with |w| = n-1 these are the
     within-block copies of G, shorter prefixes give the linking edges.
     """
-    _check_size(n, g.k, _MAX_GENERALIZED_N, allow_large)
+    _check_size(n, g.k, _MAX_GENERALIZED_N)
     digits = DIGITS[:g.k]
     labels = ["".join(w) for w in product(digits, repeat=n)]
     edges = []
@@ -139,9 +134,9 @@ def gen_generalized(n: int, g: BaseGraph, allow_large: bool = False) -> Graph:
     return build_graph(labels, edges)
 
 
-def gen_sierpinski(n: int, k: int, allow_large: bool = False) -> Graph:
+def gen_sierpinski(n: int, k: int) -> Graph:
     """Classic S^n_k; identical labels and edges to gen_generalized(n, Kk)."""
-    return gen_generalized(n, base_graph_library(f"K{k}"), allow_large)
+    return gen_generalized(n, base_graph_library(f"K{k}"))
 
 
 def linking_partner(word: str) -> str | None:
@@ -165,9 +160,9 @@ def triangle_canonical(word: str) -> str:
     return word if p is None or word < p else p
 
 
-def gen_triangle(n: int, allow_large: bool = False) -> Graph:
+def gen_triangle(n: int) -> Graph:
     """Sierpinski triangle graph ST^n_3: contract all linking edges of S^{n+1}_3."""
-    if n < 0 or (not allow_large and n > _MAX_TRIANGLE_N):
+    if not 0 <= n <= _MAX_TRIANGLE_N:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{_MAX_TRIANGLE_N}")
     m = n + 1
     digits = DIGITS[:3]
@@ -184,17 +179,17 @@ def gen_triangle(n: int, allow_large: bool = False) -> Graph:
     return build_graph(labels, sorted(edges))
 
 
-def gen_triangle_recursive(n: int, allow_large: bool = False) -> Graph:
+def gen_triangle_recursive(n: int) -> Graph:
     """ST^n_3 by gluing three ST^{n-1}_3 copies at identified corners.
 
     Produces exactly the labels of gen_triangle: copy i prefixes its digit,
     and the identified pair {i j^n, j i^n} keeps the smaller word.
     """
-    if n < 0 or (not allow_large and n > _MAX_TRIANGLE_N):
+    if not 0 <= n <= _MAX_TRIANGLE_N:
         raise DimensionOutOfRange(f"dimension {n} outside 0..{_MAX_TRIANGLE_N}")
     if n == 0:
         return build_graph(["0", "1", "2"], [("0", "1"), ("0", "2"), ("1", "2")])
-    prev = gen_triangle_recursive(n - 1, allow_large)
+    prev = gen_triangle_recursive(n - 1)
     rename: dict[str, str] = {}
     for i in "012":
         for lab in prev.labels:

@@ -1,12 +1,13 @@
 """CLI surface: subcommands, exit codes, manifests, file round trips."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from sierpack import cli, reproduce
 from sierpack._data import _read
-from sierpack.certify import lower_bound_sequence
+from sierpack.certify import EMPIRICAL, REFINED, CertificateReport, lower_bound_sequence
 from sierpack.graph_core import read_graph
 from sierpack.packing import DecideResult, read_coloring
 
@@ -73,6 +74,8 @@ def test_unknown_subcommand_exits_3(capsys):
      {"c": "00 1\n01 2\n02 4\n11 1\n12 3\n22 2\n"}, "corner colors differ"),
     (["certify", "--family", "triangle", "--m", "1", "c"],
      {"c": "00 1\n01 1\n02 2\n11 1\n12 3\n22 1\n"}, "block pair 00, 01"),
+    (["certify", "--family", "triangle", "--m", "1", "c", "--depth", "-3"],
+     {"c": "00 1\n01 2\n02 3\n11 1\n12 4\n22 1\n"}, "depth must be >= 0, got -3"),
     (["search", "--family", "triangle", "--m", "2", "--max-color", "0", "-o", "f"],
      {"f": ""}, "max_color must be >= 1, got 0"),
     (["search", "--family", "triangle", "--m", "2", "--max-color", "8",
@@ -83,6 +86,7 @@ def test_unknown_subcommand_exits_3(capsys):
       "-o", "f"], {"f": ""}, "max_color 2000000 exceeds the block's 42 vertices"),
 ], ids=["chi-disconnected", "chi-self-loop", "verify-unknown-label",
         "decide-unknown-vertex", "certify-corner-mismatch", "certify-invalid-block",
+        "certify-negative-depth",
         "search-max-color-0", "search-restarts-0", "search-negative-iters",
         "search-max-color-above-block"])
 def test_bad_input_exits_3_with_one_line(argv, files, message, tmp_path, capsys):
@@ -360,7 +364,6 @@ def test_manifest_json_round_trip():
 
 def test_reproduce_manifest_records_settings(monkeypatch, capsys):
     monkeypatch.setenv("SIERPACK_C3_BUDGET", "42")
-    monkeypatch.delenv("SIERPACK_SEARCH_BUDGET", raising=False)
     settings = reproduce.Settings.from_env("quick")
     assert settings.c3_budget == 42.0
     doc = json.loads(reproduce.new_manifest(["sierpack", "reproduce"],
@@ -369,18 +372,13 @@ def test_reproduce_manifest_records_settings(monkeypatch, capsys):
     assert got["profile"] == "quick"
     assert got["c3_budget"] == {"seconds": 42.0,
                                 "source": "SIERPACK_C3_BUDGET"}
-    assert got["search_budget"] == {"seconds": 0.0, "source": "default"}
+    assert sorted(got) == ["c3_budget", "numpy", "profile", "python"]
     assert got["python"].count(".") == 2 and got["numpy"]
     assert len(doc["inputs"]) == 13
     monkeypatch.delenv("SIERPACK_C3_BUDGET")
     full = reproduce.Settings.from_env("full").as_dict()
     assert full["c3_budget"] == {"seconds": 3600.0, "source": "default"}
-    for raw in ("soon", "nan", "-1"):
-        monkeypatch.setenv("SIERPACK_SEARCH_BUDGET", raw)
-        with pytest.raises(ValueError, match="SIERPACK_SEARCH_BUDGET"):
-            reproduce.Settings.from_env("quick")
-    monkeypatch.delenv("SIERPACK_SEARCH_BUDGET")
-    for raw in ("nan", "-1", "inf"):
+    for raw in ("soon", "nan", "-1", "inf"):
         monkeypatch.setenv("SIERPACK_C3_BUDGET", raw)
         with pytest.raises(ValueError, match="SIERPACK_C3_BUDGET"):
             reproduce.Settings.from_env("quick")
@@ -482,3 +480,29 @@ def test_side3_banned_color_facts_are_solved_once(monkeypatch):
         assert (rows[-1].status, rows[-1].detail) == ("fail", detail)
         (row,) = reproduce.run_checks(reproduce.select("lower.dim3"))
         assert (row.name, row.status, row.detail) == ("lower.dim3", "fail", detail)
+
+
+def test_search_and_cert_rows_fail_without_their_proof(monkeypatch):
+    # the search replays are deterministic and the eleven block certifies, so
+    # an uncertified replay or an EMPIRICAL report is a failure, not a report
+    configs = []
+
+    def uncertified(cfg):
+        configs.append((cfg.max_color, cfg.seed, cfg.iterations))
+        return SimpleNamespace(certified_bound=None, penalty=7)
+
+    monkeypatch.setattr(reproduce, "search_certified_coloring", uncertified)
+    rows = reproduce.run_checks(reproduce.select("search."))
+    assert configs == [(33, 5, 60_000), (31, 32, 500_000)]
+    assert [(r.name, r.status, r.detail) for r in rows] == [
+        ("search.certified", "fail", "no certificate, penalty 7"),
+        ("search.target", "fail", "no certificate, penalty 7"),
+        ("search.best", "fail", "premise failed: search.certified, search.target")]
+
+    monkeypatch.setattr(reproduce, "certify_generalized_tiling",
+                        lambda base, m, block: CertificateReport(EMPIRICAL, REFINED, {},
+                                                                 max_dimension=m + 2))
+    rows = reproduce.run_checks(["cert.eleven", "tile.eleven"])
+    assert [(r.name, r.status) for r in rows] == [("cert.eleven", "fail"),
+                                                  ("tile.eleven", "fail")]
+    assert rows[0].detail == "EMPIRICAL depth 7"

@@ -165,11 +165,16 @@ def random_tree(n, seed):
     return numbered_graph(n, [(rng.randrange(i), i) for i in range(1, n)])
 
 
-@pytest.mark.parametrize("g", [gen_triangle(5), gen_sierpinski(4, 5), random_tree(600, 600)],
-                         ids=["ST5", "S4_5", "tree-600"])
+@pytest.mark.parametrize("g", [gen_triangle(5), gen_sierpinski(4, 5), random_tree(600, 600),
+                               numbered_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                                  (1, 5)])],
+                         ids=["ST5", "S4_5", "tree-600", "C5-pendant"])
 def test_diameter_matches_the_all_pairs_oracle(g):
     # ST^5 sweeps 16 fringe levels in one batch, S^4_5 two batches of
-    # several levels; in a tree the root is the center and ends the scan
+    # several levels; in a tree the root is the center and ends the scan.
+    # On the 5-cycle v0..v4 with v5 hung on v1, the double sweep and the
+    # midpoint root v1 give 2; only sweeping the level-2 fringe {v3, v4}
+    # finds the diameter 3, from v5
     assert diameter(g) == int(naive_all_pairs_distances(g).matrix.max())
 
 
@@ -244,10 +249,9 @@ def test_construction_errors():
 
 
 def test_all_pairs_size_guard():
-    g = build_graph([str(i) for i in range(12)],
-                    [(str(i), str(i + 1)) for i in range(11)])
+    g = numbered_graph(5_001, [(i, i + 1) for i in range(5_000)])
     with pytest.raises(TooLarge):
-        all_pairs_distances(g, limit=10)
+        all_pairs_distances(g)
 
 
 def test_induced_subgraph_examples():

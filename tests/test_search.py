@@ -338,7 +338,7 @@ def test_search_triangle_block_certifies_and_lifts():
     report = certify_triangle_tiling(5, out.best)
     assert report.status == CERTIFIED
     tiled = tile_coloring("triangle", 5, out.best, 6)
-    g6 = gen_triangle(6, allow_large=True)
+    g6 = gen_triangle(6)
     assert verify_packing_coloring(g6, tiled).ok
 
 

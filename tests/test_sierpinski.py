@@ -174,6 +174,6 @@ def test_dimension_guards():
         gen_triangle(-1)
     with pytest.raises(DimensionOutOfRange):
         gen_triangle(10)
-    # allow_large lifts the dimension cap but keeps the memory guard
-    with pytest.raises(DimensionOutOfRange):
-        gen_sierpinski(13, 10, allow_large=True)
+    # within the dimension cap, the vertex guard still refuses 10^8 vertices
+    with pytest.raises(DimensionOutOfRange, match="guard"):
+        gen_sierpinski(8, 10)
