@@ -212,12 +212,13 @@ def boundary_profile(dm: DistanceMatrix, extremes) -> BoundaryProfile:
 
 
 def naive_lift_margins(family: str, m: int, block: Mapping[str, int],
-                       base: BaseGraph | None = None,
-                       mode: str = "refined") -> dict[int, dict[str, int]]:
+                       base: BaseGraph | None = None) -> dict[int, dict[str, int]]:
     """The certifiers' per-color margins, one pair of positions at a time:
     `within` (block distance), `pair` (cross-block bound of two distinct
     positions) and `single` (two copies of one position), each minus the
-    color."""
+    color.  The cross-block bounds follow the `cross(u, v)` definitions in
+    the docstrings of `certify_generalized_tiling` (one hop over a base
+    edge, 2 + d_min over a non-edge) and `certify_triangle_tiling`."""
     g = gen_triangle(m) if family == "triangle" else gen_generalized(m, base)
     dm = naive_all_pairs_distances(g)
     prof = boundary_profile(dm, extreme_vertices(family, m, base))
@@ -229,9 +230,6 @@ def naive_lift_margins(family: str, m: int, block: Mapping[str, int],
             if u in prof.extremes or v in prof.extremes:
                 return None  # identified corners: no cross-block pair
             return min(to[u]) + min(to[v])
-    elif mode == "conservative":
-        def cross(u, v):
-            return min(to[u]) + 1 + min(to[v])
     else:
         adjacent = {frozenset(e) for e in base.edges}
 

@@ -34,9 +34,6 @@ CERTIFIED = "CERTIFIED"
 EMPIRICAL = "EMPIRICAL"
 REFUTED = "REFUTED"
 
-CONSERVATIVE = "conservative"
-REFINED = "refined"
-
 DEFAULT_EMPIRICAL_DEPTH = 2
 
 
@@ -96,7 +93,6 @@ class CertificateReport:
     """
 
     status: str
-    mode: str
     margins: Mapping[int, Mapping[str, int]]
     max_dimension: Optional[int] = None
     refuted_dimension: Optional[int] = None
@@ -111,14 +107,12 @@ class CertificateReport:
 
     def text_report(self) -> str:
         if self.status == CERTIFIED:
-            head = f"status CERTIFIED mode {self.mode}"
+            head = "status CERTIFIED"
         elif self.status == EMPIRICAL:
-            head = (f"status EMPIRICAL mode {self.mode} "
-                    f"max-dimension {self.max_dimension}")
+            head = f"status EMPIRICAL max-dimension {self.max_dimension}"
         else:
             c, u, v, d = self.violation
-            head = (f"status REFUTED mode {self.mode} "
-                    f"dimension {self.refuted_dimension} "
+            head = (f"status REFUTED dimension {self.refuted_dimension} "
                     f"color {c} pair {u} {v} distance {d}")
         lines = [head]
         for color in sorted(self.margins):
@@ -181,10 +175,7 @@ def tile_coloring(family: str, m: int, block: Coloring, n: int,
     return _tiled(family, m, block, n, base)[1]
 
 
-def _conditions(g: Graph, family: str, m: int, base: BaseGraph | None,
-                mode: str) -> ConditionTable:
-    if mode not in (REFINED, CONSERVATIVE):
-        raise ValueError(f"unknown mode {mode!r}")
+def _conditions(g: Graph, family: str, m: int, base: BaseGraph | None) -> ConditionTable:
     pair_d = all_pairs_distances(g).matrix.astype(np.int16)
     ext = [g.index(e) for e in extreme_vertices(family, m, base)]
     to_ext = pair_d[:, ext]
@@ -199,10 +190,9 @@ def _conditions(g: Graph, family: str, m: int, base: BaseGraph | None,
         single_b = two_nearest.sum(axis=1, dtype=np.int16)
     else:
         d_min = min(int(pair_d[a, b]) for a in ext for b in ext if a != b)
-        edges = set(base.edges) | {(y, x) for x, y in base.edges}
-        hop = np.array([[1 if mode == CONSERVATIVE or (x, y) in edges
-                         else 2 + d_min for y in range(base.k)]
-                        for x in range(base.k)], dtype=np.int16)
+        hop = np.full((base.k, base.k), 2 + d_min, dtype=np.int16)
+        for x, y in base.edges:
+            hop[x, y] = hop[y, x] = 1
         # reach[v, x] = min over y of hop(x, y) + d(v, y^m); rows of pair_b
         # go in slices so that no second n x n array is ever held
         reach = (hop[None, :, :] + to_ext[:, None, :]).min(axis=2)
@@ -214,21 +204,19 @@ def _conditions(g: Graph, family: str, m: int, base: BaseGraph | None,
     return ConditionTable(g.labels, pair_d, pair_b, single_b, pinned)
 
 
-def condition_table(family: str, m: int, base: BaseGraph | None = None,
-                    mode: str = REFINED) -> ConditionTable:
+def condition_table(family: str, m: int, base: BaseGraph | None = None) -> ConditionTable:
     """The conditions under which a dimension-m block coloring lifts.
 
     Generalized family: pair_b(u, v) is the minimum over ordered letters
     (x, y) of d(u, x^m) + hop(x, y) + d(v, y^m), and single_b its
-    diagonal.  In refined mode hop is 1 for base edges {x, y} and
-    2 + d_min otherwise (d_min the least inter-extreme distance); in
-    conservative mode hop is 1 throughout.  Triangle family (`mode` is
-    ignored): pair_b(u, v) = delta(u) + delta(v) with delta the nearest
-    corner distance, no bound where either vertex is a corner, and
-    single_b the sum of the two smallest corner distances.  The
-    certifiers explain why these bound every cross-block distance.
+    diagonal, where hop is 1 for base edges {x, y} and 2 + d_min
+    otherwise (d_min the least inter-extreme distance).  Triangle family:
+    pair_b(u, v) = delta(u) + delta(v) with delta the nearest corner
+    distance, no bound where either vertex is a corner, and single_b the
+    sum of the two smallest corner distances.  The certifiers explain why
+    these bound every cross-block distance.
     """
-    return _conditions(_block_graph(family, m, base), family, m, base, mode)
+    return _conditions(_block_graph(family, m, base), family, m, base)
 
 
 def _margins(table: ConditionTable, block: Coloring) -> dict[int, dict[str, int]]:
@@ -249,29 +237,27 @@ def _margins(table: ConditionTable, block: Coloring) -> dict[int, dict[str, int]
 
 
 def _certify(family: str, m: int, block: Coloring, base: BaseGraph | None,
-             mode: str, depth: int) -> CertificateReport:
+             depth: int) -> CertificateReport:
     """Validate the block, read its margins off the condition table, then
     verify the tilings at m+1..m+depth exhaustively."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     g = _valid_block(family, m, block, base)
-    margins = _margins(_conditions(g, family, m, base, mode), block)
-    mode = "triangle" if family == "triangle" else mode
+    margins = _margins(_conditions(g, family, m, base), block)
     last_clean = m
     for n in range(m + 1, m + depth + 1):
         report = verify_packing_coloring(*_tiled(family, m, block, n, base))
         if report.violations:
-            return CertificateReport(REFUTED, mode, margins,
+            return CertificateReport(REFUTED, margins,
                                      max_dimension=last_clean, refuted_dimension=n,
                                      violation=report.violations[0])
         last_clean = n
     structural = all(min(c.values()) >= 1 for c in margins.values())
-    return CertificateReport(CERTIFIED if structural else EMPIRICAL, mode,
-                             margins, max_dimension=last_clean)
+    return CertificateReport(CERTIFIED if structural else EMPIRICAL, margins,
+                             max_dimension=last_clean)
 
 
 def certify_generalized_tiling(g: BaseGraph, m: int, block: Coloring,
-                               mode: str = REFINED,
                                empirical_depth: int = DEFAULT_EMPIRICAL_DEPTH,
                                ) -> CertificateReport:
     """Certificate for tiling S^m_g blocks into S^n_g, n >= m.
@@ -286,15 +272,14 @@ def certify_generalized_tiling(g: BaseGraph, m: int, block: Coloring,
             d(u, x^m) + 2 + d_min + d(v, y^m)  otherwise,
 
     the second branch because a route with two or more inter-block edges
-    must transit an intermediate block between two of its extremes.
-    Conservative mode collapses this to nearest-extreme distances plus
-    one edge.  `condition_table` holds these bounds (`pair_b`, and
-    `single_b` for two copies of one vertex); the margins are their
-    slacks.  Structural pass on every color plus a clean exhaustive
-    backstop yields CERTIFIED; a backstop pass alone yields EMPIRICAL;
-    any backstop violation refutes the lift.
+    must transit an intermediate block between two of its extremes.  This
+    is the only lift condition: `condition_table` holds these bounds
+    (`pair_b`, and `single_b` for two copies of one vertex), and the
+    margins are their slacks.  Structural pass on every color plus a clean
+    exhaustive backstop yields CERTIFIED; a backstop pass alone yields
+    EMPIRICAL; any backstop violation refutes the lift.
     """
-    return _certify("generalized", m, block, g, mode, empirical_depth)
+    return _certify("generalized", m, block, g, empirical_depth)
 
 
 def certify_triangle_tiling(m: int, block: Coloring,
@@ -319,7 +304,7 @@ def certify_triangle_tiling(m: int, block: Coloring,
     `condition_table`.  The exhaustive backstop and status logic match
     the generalized case.
     """
-    return _certify("triangle", m, block, None, REFINED, empirical_depth)
+    return _certify("triangle", m, block, None, empirical_depth)
 
 
 def build_k4e_eleven_coloring() -> dict[str, int]:
@@ -349,7 +334,6 @@ class BoundSequence:
 
     k: int
     values: tuple[int, ...]
-    literal_recurrence: bool = False
 
     def term(self, n: int) -> int:
         return self.values[n - 1]
@@ -362,20 +346,18 @@ def _require_base(k: int) -> None:
             f"diameter, so the counting argument needs k >= 4")
 
 
-def lower_bound_sequence(k: int, N: int, literal: bool = False) -> BoundSequence:
+def lower_bound_sequence(k: int, N: int) -> BoundSequence:
     """a_1 = k and a_{n+1} = k a_n - 2^{n+1}(k-1) + 2(k-1): a new dimension
     multiplies the color demand by k but colors beyond the old diameter can
-    be shared.  `literal` switches the final +2(k-1) to +(k-1), a strictly
-    smaller (hence still valid) variant."""
+    be shared."""
     _require_base(k)
     if N < 1:
         raise ValueError(f"need at least one term, got N={N}")
-    step = (k - 1) if literal else 2 * (k - 1)
     vals = [k]
     while len(vals) < N:
         n = len(vals)
-        vals.append(k * vals[-1] - 2 ** (n + 1) * (k - 1) + step)
-    return BoundSequence(k, tuple(vals), literal_recurrence=literal)
+        vals.append(k * vals[-1] - 2 ** (n + 1) * (k - 1) + 2 * (k - 1))
+    return BoundSequence(k, tuple(vals))
 
 
 def lower_bound_closed_form(k: int, n: int) -> int:

@@ -18,13 +18,13 @@ from typing import NamedTuple, Sequence
 
 from . import __version__
 from ._data import MissingData
-from .certify import (DEFAULT_EMPIRICAL_DEPTH, REFINED, REFUTED, CertifyError,
+from .certify import (DEFAULT_EMPIRICAL_DEPTH, REFUTED, CertifyError,
                       certify_generalized_tiling, certify_triangle_tiling, lower_bound_sequence)
 from .graph_core import GraphError, read_graph, write_graph
 from .packing import (DEFAULT_BUDGET, EXACT, SAT, TIMEOUT, UNSAT, ColorConstraints, chi_rho,
                       format_coloring_text, is_packing_k_colorable, max_color, read_coloring,
                       verify_packing_coloring, write_coloring)
-from .reproduce import CheckRow, RunManifest, Settings, run_suite
+from .reproduce import CheckRow, RunManifest, Settings, checked_seconds, run_suite
 from .search import SearchConfig, search_certified_coloring
 from .sierpinski import base_graph_library, gen_generalized, gen_sierpinski, gen_triangle
 
@@ -186,9 +186,8 @@ def cmd_certify(args, parser) -> _Result:
     else:
         if args.base is None:
             parser.error("--family generalized requires --base")
-        report = certify_generalized_tiling(
-            base_graph_library(args.base), args.m, block,
-            mode=args.mode, empirical_depth=args.depth)
+        report = certify_generalized_tiling(base_graph_library(args.base), args.m,
+                                            block, empirical_depth=args.depth)
     text = report.text_report().rstrip("\n")
     row = ("certify", "block coloring lifts to all dimensions",
            "fail" if report.status == REFUTED else "pass", text.splitlines()[0])
@@ -198,8 +197,7 @@ def cmd_certify(args, parser) -> _Result:
 
 @_single_result
 def cmd_bounds(args, parser) -> _Result:
-    seq = lower_bound_sequence(args.k, args.n,
-                               literal=args.literal_recurrence)
+    seq = lower_bound_sequence(args.k, args.n)
     terms = range(1, args.n + 1)
     rows = [(f"bounds.a{n}", f"a_{n} lower bound for k={args.k}", "report",
              str(seq.term(n))) for n in terms]
@@ -334,8 +332,6 @@ def build_parser() -> _Parser:
                    choices=("generalized", "triangle"))
     p.add_argument("--base", help="base graph name (generalized)")
     p.add_argument("--m", type=int, required=True, help="block dimension")
-    p.add_argument("--mode", choices=("conservative", "refined"),
-                   default=REFINED)
     p.add_argument("--depth", type=int, default=DEFAULT_EMPIRICAL_DEPTH,
                    help="extra dimensions verified exhaustively")
     p.add_argument("coloring")
@@ -346,8 +342,6 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True,
                    help="last index to print")
-    p.add_argument("--literal-recurrence", action="store_true",
-                   help="evaluate the recurrence term by term")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("search", parents=[common],
@@ -377,6 +371,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._argv = ["sierpack"] + argv
     try:
+        args.timeout = checked_seconds("--timeout", args.timeout)
         return args.func(args, parser)
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"sierpack: cannot read {exc.filename}", file=sys.stderr)

@@ -379,8 +379,8 @@ def verify_subgraph_embedding(h: Graph, g: Graph, m: EmbeddingMap) -> EmbeddingC
 #
 # graph file:    '# comment' / 'v <label>' / 'e <label> <label>'
 # map file:      '# comment' / '<domain label> <image label>'
-# writers emit vertices sorted by label and edges in lexicographic order,
-# so files are diff-stable.
+# the graph writer emits vertices sorted by label and edges in
+# lexicographic order, so graph files are diff-stable.
 
 def format_graph_text(g: Graph) -> str:
     lines = [f"v {lab}" for lab in sorted(g.labels)]
@@ -418,10 +418,6 @@ def read_graph(path) -> Graph:
 def write_graph(path, g: Graph) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_graph_text(g))
-
-
-def format_map_text(m: EmbeddingMap) -> str:
-    return "\n".join(f"{a} {b}" for a, b in sorted(m.pairs.items())) + "\n"
 
 
 def parse_map_text(text: str) -> EmbeddingMap:

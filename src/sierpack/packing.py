@@ -183,6 +183,8 @@ class _Metric:
         return self._packing[i]
 
     def counting_bound(self) -> int:
+        """Largest t with sum of max i-packing sizes, i < t, still below |V|;
+        at least the clique number."""
         total = t = 0  # total: sum of max i-packing sizes for i = 1..t
         while total < self.n:
             t += 1
@@ -211,14 +213,6 @@ def max_i_packing_size(g: Graph, i: int, budget: float = DEFAULT_BUDGET) -> int:
     if i < 1:
         raise ValueError("packing index must be >= 1")
     return _Metric(g).max_packing(i, budget)
-
-
-def counting_lower_bound(g: Graph) -> int:
-    """Largest t with sum of max i-packing sizes, i < t, still below |V|;
-    at least the clique number."""
-    if g.n > _EXACT_SIZE_LIMIT:
-        raise TooLarge(f"counting bound limited to {_EXACT_SIZE_LIMIT} vertices")
-    return _Metric(g).counting_bound()
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +366,15 @@ class SolveResult:
     elapsed: float
 
 
-def greedy_packing_coloring(g: Graph, order: str | Sequence[str] = "degree_desc",
+def greedy_packing_coloring(g: Graph, order: Sequence[str] | None = None,
                             seed: int = 0) -> dict[str, int]:
-    """First-fit packing coloring; always valid, used for upper bounds."""
-    if isinstance(order, str):
-        if order == "degree_desc":
-            rng = random.Random(seed)
-            jitter = {lab: rng.random() for lab in g.labels}
-            seq = sorted(g.labels, key=lambda lab: (-g.degree(lab), jitter[lab]))
-        elif order == "label":
-            seq = sorted(g.labels)
-        else:
-            raise ValueError(f"unknown order {order!r}")
+    """First-fit packing coloring; always valid, used for upper bounds.
+    Vertices go in `order`, or by degree descending with seeded random
+    ties when no order is given."""
+    if order is None:
+        rng = random.Random(seed)
+        jitter = {lab: rng.random() for lab in g.labels}
+        seq = sorted(g.labels, key=lambda lab: (-g.degree(lab), jitter[lab]))
     else:
         seq = list(order)
         if sorted(seq) != sorted(g.labels):

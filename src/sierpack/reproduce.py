@@ -143,18 +143,24 @@ class Settings:
         }
 
 
-def _env_seconds(var: str, default: float) -> tuple[float, str]:
-    raw = os.environ.get(var)
-    if raw is None:
-        return default, "default"
+def checked_seconds(name: str, raw: str | float) -> float:
+    """`raw` as a finite number of seconds >= 0, or a one-line ValueError
+    naming `name`: a NaN or infinite budget never expires."""
     try:
         seconds = float(raw)
     except ValueError:
         seconds = math.nan
     if not 0 <= seconds < math.inf:
-        raise ValueError(f"{var} must be a finite number of seconds >= 0,"
-                         f" got {raw!r}")
-    return seconds, var
+        raise ValueError(f"{name} must be a finite number of seconds >= 0,"
+                         f" got {str(raw)!r}")
+    return seconds
+
+
+def _env_seconds(var: str, default: float) -> tuple[float, str]:
+    raw = os.environ.get(var)
+    if raw is None:
+        return default, "default"
+    return checked_seconds(var, raw), var
 
 
 def _hash_data_files() -> dict[str, str]:
@@ -370,7 +376,7 @@ def _bounds_anchor(ctx: Context) -> Outcome:
     if a2 != 10:
         return Outcome("fail", f"a_2 = {a2}")
     res = chi_rho(_family_graph("S2_4"), budget=_ANCHOR_BUDGET)
-    return Outcome(_ok(res.status == EXACT and res.upper >= 10),
+    return Outcome(_ok(res.status == EXACT and res.upper == 10),
                    f"a_2 = 10, solver {res.status} {res.lower}..{res.upper}")
 
 
@@ -462,7 +468,7 @@ TABLE: tuple[Check, ...] = (
       for name, src, _, m in _BLOCKS),
     Check("bounds.forms", "closed form equals the recurrence for k=4..10, n<=30", _bounds_forms),
     Check("bounds.monotone", "bound sequences are strictly increasing", _bounds_monotone),
-    Check("bounds.anchor", "a_2 = 10 for k=4 and the solver confirms chi_rho(S2_4) >= 10",
+    Check("bounds.anchor", "a_2 = 10 for k=4 and chi_rho(S2_4) = 10, so a_2 is tight",
           _bounds_anchor),
     Check("search.certified", "search finds a certified triangle block coloring at dimension 5",
           partial(_search, 33, 5, 60_000)),

@@ -71,9 +71,6 @@ class BaseGraph:
         if len(seen) != self.k:
             raise InvalidBaseGraph(f"base graph {self.name} is not connected")
 
-    def degree_of(self, digit: int) -> int:
-        return sum(1 for x, y in self.edges if digit in (x, y))
-
 
 def _sorted_edges(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(tuple(sorted(p)) for p in pairs))
@@ -208,20 +205,20 @@ def gen_triangle_recursive(n: int) -> Graph:
     return build_graph(labels, sorted(edges))
 
 
-def extreme_vertices(family: str, n: int, base: BaseGraph | int | None = None) -> list[str]:
-    """Extreme vertices: the k words i^n (generalized/sierpinski) or the three
-    degree-2 corner classes i^{n+1} (triangle)."""
+def extreme_vertices(family: str, n: int, base: BaseGraph | None = None) -> list[str]:
+    """Extreme vertices: the k words i^n of S^n_base ("generalized"; the
+    classic S^n_k is the base Kk) or the three degree-2 corner classes
+    i^{n+1} of ST^n_3 ("triangle", no base)."""
     if family == "triangle":
         if n < 0:
             raise DimensionOutOfRange(f"triangle dimension {n} negative")
         return [d * (n + 1) for d in "012"]
-    if family in ("sierpinski", "generalized"):
+    if family == "generalized":
         if base is None:
-            raise UnknownName("generalized family needs a base graph or order k")
-        k = base if isinstance(base, int) else base.k
+            raise UnknownName("generalized family needs a base graph")
         if n < 1:
             raise DimensionOutOfRange(f"dimension {n} below 1")
-        return [DIGITS[i] * n for i in range(k)]
+        return [DIGITS[i] * n for i in range(base.k)]
     raise UnknownName(f"unknown family {family!r}")
 
 

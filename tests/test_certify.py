@@ -11,7 +11,6 @@ from sierpack._data import MissingData, load_coloring, load_graph, load_map
 from sierpack._naive import boundary_profile, naive_lift_margins
 from sierpack.certify import (
     CERTIFIED,
-    EMPIRICAL,
     NO_BOUND,
     REFUTED,
     BaseTooSmall,
@@ -154,15 +153,6 @@ def test_refined_certificate_k13_block():
     assert report.margin(3) == 1
 
 
-def test_conservative_mode_loses_the_c4_block():
-    report = certify_generalized_tiling(
-        C4, 3, load_coloring("fig5_s3c4.coloring"), mode="conservative")
-    assert report.status == EMPIRICAL
-    assert report.max_dimension == 5
-    # both 3-colored extremal neighbours collapse to bound 1+1+1 = 3
-    assert report.margins[3]["pair"] == 0
-
-
 def test_certificate_without_backstop_keeps_structural_result():
     report = certify_generalized_tiling(
         C4, 3, load_coloring("fig5_s3c4.coloring"), empirical_depth=0)
@@ -237,17 +227,19 @@ def _unsound_pairs(table, big, dist, canon):
 def test_condition_table_is_sound_against_true_distances():
     # every bound the certificate rests on, against the true distances of
     # the tilings one and two dimensions up: all eight library bases at
-    # m = 1..3 in both modes, the triangle family at m = 1..4
+    # m = 1..3, P4 and K4E at m = 4 one dimension up (on P4 that already
+    # reaches block pairs with no base edge between them), the triangle
+    # family at m = 1..4
     for name in LIBRARY_BASES:
         base = base_graph_library(name)
-        for m in (1, 2, 3):
-            tables = [condition_table("generalized", m, base, mode)
-                      for mode in ("refined", "conservative")]
-            for n in (m + 1, m + 2):
-                big = gen_generalized(n, base)
-                dist = all_pairs_distances(big).matrix
-                for table in tables:
-                    assert _unsound_pairs(table, big, dist, str) == CLEAN, (name, m, n)
+        deepest = 4 if name in ("P4", "K4E") else 3
+        for n in (2, 3, 4, 5):
+            big = gen_generalized(n, base)
+            dist = all_pairs_distances(big).matrix
+            # one distance table per tiling serves its blocks of m = n-2, n-1
+            for m in range(max(1, n - 2), min(n - 1, deepest) + 1):
+                table = condition_table("generalized", m, base)
+                assert _unsound_pairs(table, big, dist, str) == CLEAN, (name, m, n)
     for m in (1, 2, 3, 4):
         table = condition_table("triangle", m)
         for n in (m + 1, m + 2):
@@ -268,9 +260,8 @@ def test_condition_table_is_sound_on_random_bases(seed):
     for m, n in ((1, 2), (1, 3), (2, 3), (2, 4)):
         big = gen_generalized(n, base)
         dist = all_pairs_distances(big).matrix
-        for mode in ("refined", "conservative"):
-            table = condition_table("generalized", m, base, mode)
-            assert _unsound_pairs(table, big, dist, str) == CLEAN, (edges, m, n, mode)
+        table = condition_table("generalized", m, base)
+        assert _unsound_pairs(table, big, dist, str) == CLEAN, (edges, m, n)
 
 
 def _triangle_block(m, rng):
@@ -292,17 +283,15 @@ def test_table_margins_match_pairwise_oracle():
         for m in (2, 3):
             block = greedy_packing_coloring(gen_generalized(m, base),
                                             seed=rng.randrange(10 ** 6))
-            for mode in ("refined", "conservative"):
-                report = certify_generalized_tiling(base, m, block, mode=mode,
-                                                    empirical_depth=0)
-                assert report.margins == naive_lift_margins(
-                    "generalized", m, block, base, mode), (name, m, mode)
-                table = condition_table("generalized", m, base, mode)
-                for _ in range(3):
-                    coloring = {lab: rng.randint(1, 4 ** m // 2)
-                                for lab in table.labels}
-                    assert _margins(table, coloring) == naive_lift_margins(
-                        "generalized", m, coloring, base, mode), (name, m, mode)
+            report = certify_generalized_tiling(base, m, block, empirical_depth=0)
+            assert report.margins == naive_lift_margins(
+                "generalized", m, block, base), (name, m)
+            table = condition_table("generalized", m, base)
+            for _ in range(3):
+                coloring = {lab: rng.randint(1, 4 ** m // 2)
+                            for lab in table.labels}
+                assert _margins(table, coloring) == naive_lift_margins(
+                    "generalized", m, coloring, base), (name, m)
     for m in (1, 2, 3, 4):
         for _ in range(2):
             block = _triangle_block(m, rng)
@@ -400,15 +389,6 @@ def test_base_four_terms_follow_doubling_pattern():
     seq = lower_bound_sequence(4, 20)
     for n in range(1, 21):
         assert seq.term(n) == 3 * 2 ** n - 2
-
-
-def test_literal_recurrence_variant_is_smaller():
-    assert lower_bound_sequence(4, 4, literal=True).values == (4, 7, 7, -17)
-    for k in (4, 7, 10):
-        canonical = lower_bound_sequence(k, 12).values
-        literal = lower_bound_sequence(k, 12, literal=True).values
-        assert literal[0] == canonical[0]
-        assert all(l < c for l, c in zip(literal[1:], canonical[1:]))
 
 
 def test_monotonicity_holds_for_all_supported_bases():

@@ -7,9 +7,9 @@ import pytest
 
 from sierpack import cli, reproduce
 from sierpack._data import _read
-from sierpack.certify import EMPIRICAL, REFINED, CertificateReport, lower_bound_sequence
+from sierpack.certify import EMPIRICAL, CertificateReport, lower_bound_sequence
 from sierpack.graph_core import read_graph
-from sierpack.packing import DecideResult, read_coloring
+from sierpack.packing import EXACT, DecideResult, SolveResult, read_coloring
 
 
 def run_cli(argv, capsys):
@@ -84,11 +84,19 @@ def test_unknown_subcommand_exits_3(capsys):
       "--iters", "-5", "-o", "f"], {"f": ""}, "iterations must be >= 0, got -5"),
     (["search", "--family", "triangle", "--m", "3", "--max-color", "2000000",
       "-o", "f"], {"f": ""}, "max_color 2000000 exceeds the block's 42 vertices"),
+    # a NaN or infinite deadline never fires, and a negative one reads as TIMEOUT
+    (["--timeout", "nan", "chi", "g"], {"g": "v a\nv b\ne a b\n"},
+     "--timeout must be a finite number of seconds >= 0, got 'nan'"),
+    (["chi", "g", "--timeout", "-1"], {"g": "v a\nv b\ne a b\n"},
+     "--timeout must be a finite number of seconds >= 0, got '-1.0'"),
+    (["decide", "g", "2", "--timeout", "inf"], {"g": "v a\nv b\ne a b\n"},
+     "--timeout must be a finite number of seconds >= 0, got 'inf'"),
 ], ids=["chi-disconnected", "chi-self-loop", "verify-unknown-label",
         "decide-unknown-vertex", "certify-corner-mismatch", "certify-invalid-block",
         "certify-negative-depth",
         "search-max-color-0", "search-restarts-0", "search-negative-iters",
-        "search-max-color-above-block"])
+        "search-max-color-above-block", "timeout-nan", "timeout-negative",
+        "timeout-inf"])
 def test_bad_input_exits_3_with_one_line(argv, files, message, tmp_path, capsys):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -247,7 +255,7 @@ def test_certify_shipped_block_is_certified(tmp_path, capsys):
     code, out, _ = run_cli(["certify", "--family", "generalized",
                             "--base", "K13", "--m", "2", str(block)], capsys)
     assert code == 0
-    assert out.startswith("status CERTIFIED mode refined")
+    assert out.startswith("status CERTIFIED\n")
     assert "color 3 margin 1" in out
 
 
@@ -290,14 +298,6 @@ def test_bounds_table_matches_library(capsys):
     seq = lower_bound_sequence(4, 8)
     got = [line.split() for line in out.strip().splitlines()]
     assert got == [[str(n), str(seq.term(n))] for n in range(1, 9)]
-
-
-def test_bounds_literal_variant_differs(capsys):
-    _, plain, _ = run_cli(["bounds", "--k", "5", "--n", "6"], capsys)
-    _, literal, _ = run_cli(["bounds", "--k", "5", "--n", "6",
-                             "--literal-recurrence"], capsys)
-    assert plain.splitlines()[0] == literal.splitlines()[0]
-    assert plain.splitlines()[-1] != literal.splitlines()[-1]
 
 
 # ---------------------------------------------------------------- search
@@ -500,9 +500,17 @@ def test_search_and_cert_rows_fail_without_their_proof(monkeypatch):
         ("search.best", "fail", "premise failed: search.certified, search.target")]
 
     monkeypatch.setattr(reproduce, "certify_generalized_tiling",
-                        lambda base, m, block: CertificateReport(EMPIRICAL, REFINED, {},
+                        lambda base, m, block: CertificateReport(EMPIRICAL, {},
                                                                  max_dimension=m + 2))
     rows = reproduce.run_checks(["cert.eleven", "tile.eleven"])
     assert [(r.name, r.status) for r in rows] == [("cert.eleven", "fail"),
                                                   ("tile.eleven", "fail")]
     assert rows[0].detail == "EMPIRICAL depth 7"
+
+
+def test_bounds_anchor_fails_unless_chi_rho_is_ten(monkeypatch):
+    # the row claims chi_rho(S2_4) = 10, so an exact 11 must fail it
+    monkeypatch.setattr(reproduce, "chi_rho",
+                        lambda g, budget: SolveResult(EXACT, 11, 11, None, 0, 0.0))
+    (row,) = reproduce.run_checks(["bounds.anchor"])
+    assert (row.status, row.detail) == ("fail", "a_2 = 10, solver EXACT 11..11")

@@ -25,7 +25,6 @@ from sierpack.graph_core import (
     build_graph,
     diameter,
     format_graph_text,
-    format_map_text,
     induced_subgraph,
     parse_graph_text,
     parse_map_text,
@@ -305,8 +304,8 @@ def test_graph_text_roundtrip_and_ordering():
 
 
 def test_map_text_roundtrip():
-    m = EmbeddingMap({"x": "00", "y": "11"})
-    assert parse_map_text(format_map_text(m)).pairs == m.pairs
+    m = parse_map_text("# comment\nx 00\n\ny 11\n")
+    assert m == EmbeddingMap({"x": "00", "y": "11"})
     with pytest.raises(FormatError):
         parse_map_text("a\n")
     with pytest.raises(DuplicateLabel):

@@ -33,8 +33,8 @@ from sierpack.packing import (
     SolveTimeout,
     TooLarge,
     _max_clique_size,
+    _Metric,
     chi_rho,
-    counting_lower_bound,
     format_coloring_text,
     greedy_packing_coloring,
     is_packing_k_colorable,
@@ -97,10 +97,10 @@ def test_max_packing_guards():
         max_i_packing_size(path, 2)
 
 
-def test_counting_lower_bound_examples():
-    assert counting_lower_bound(gen_sierpinski(1, 4)) == 4
-    assert counting_lower_bound(gen_triangle(1)) == 4
-    assert counting_lower_bound(build_graph(["a", "b"], [("a", "b")])) == 2
+def test_counting_bound_examples():
+    assert _Metric(gen_sierpinski(1, 4)).counting_bound() == 4
+    assert _Metric(gen_triangle(1)).counting_bound() == 4
+    assert _Metric(build_graph(["a", "b"], [("a", "b")])).counting_bound() == 2
 
 
 def test_verify_reports_all_violations_and_uncolored():
@@ -168,7 +168,7 @@ def test_greedy_is_first_fit_in_its_order():
     graphs = ([sparse_labelled_graph(rng, n) for n in (1, 3, 8, 20, 40, 70)]
               + random_connected_graphs(10, seed=11, n_max=9) + [gen_triangle(2)])
     for g in graphs:
-        for order, seed in (("degree_desc", 0), ("degree_desc", 3), ("label", 0)):
+        for order, seed in ((None, 0), (None, 3), (sorted(g.labels), 0)):
             c = greedy_packing_coloring(g, order=order, seed=seed)
             assert list(c.items()) == list(first_fit(g, list(c)).items())
         seq = rng.sample(g.labels, g.n)
@@ -325,7 +325,7 @@ def test_chi_rho_deterministic_witness():
 
 def test_greedy_is_always_valid():
     for g in random_connected_graphs(15, seed=7, n_max=8):
-        for order, seed in (("degree_desc", 0), ("degree_desc", 3), ("label", 0)):
+        for order, seed in ((None, 0), (None, 3), (sorted(g.labels), 0)):
             c = greedy_packing_coloring(g, order=order, seed=seed)
             assert verify_packing_coloring(g, c).ok
     g = gen_triangle(1)
@@ -359,7 +359,7 @@ def test_restriction_of_valid_coloring_stays_valid(seed):
 def test_chi_lower_at_least_counting_bound():
     for g in random_connected_graphs(10, seed=12, n_max=7):
         res = chi_rho(g)
-        assert res.lower >= counting_lower_bound(g) or res.status != EXACT
+        assert res.lower >= _Metric(g).counting_bound() or res.status != EXACT
 
 
 def test_coloring_text_roundtrip():

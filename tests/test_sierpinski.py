@@ -24,7 +24,7 @@ def test_library_edge_sets():
     assert base_graph_library("C4").edges == ((0, 1), (0, 3), (1, 2), (2, 3))
     assert base_graph_library("P4").edges == ((0, 1), (1, 2), (2, 3))
     k13 = base_graph_library("K13")
-    assert k13.degree_of(1) == 3 and k13.degree_of(0) == 1
+    assert k13.edges == ((0, 1), (1, 2), (1, 3))  # center 1
     k4e = base_graph_library("K4E")
     assert len(k4e.edges) == 5 and (0, 2) not in k4e.edges
     paw = base_graph_library("PAW")
@@ -150,11 +150,14 @@ def test_linking_edges_lie_in_no_triangle():
 def test_extreme_vertices_families():
     assert extreme_vertices("generalized", 3, base_graph_library("C4")) == \
         ["000", "111", "222", "333"]
-    assert extreme_vertices("sierpinski", 2, 3) == ["00", "11", "22"]
+    assert extreme_vertices("generalized", 2, base_graph_library("K3")) == ["00", "11", "22"]
     assert extreme_vertices("triangle", 2) == ["000", "111", "222"]
     assert extreme_vertices("triangle", 0) == ["0", "1", "2"]
+    for family in ("mystery", "sierpinski"):
+        with pytest.raises(UnknownName):
+            extreme_vertices(family, 1, base_graph_library("K3"))
     with pytest.raises(UnknownName):
-        extreme_vertices("mystery", 1, 3)
+        extreme_vertices("generalized", 1)  # base graph missing
 
 
 def test_block_vertices():
