@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import time
 from typing import NamedTuple, Sequence
@@ -372,7 +373,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args._argv = ["sierpack"] + argv
     try:
         args.timeout = checked_seconds("--timeout", args.timeout)
-        return args.func(args, parser)
+        code = args.func(args, parser)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # keep the interpreter's own exit flush of stdout quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_NEGATIVE
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"sierpack: cannot read {exc.filename}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,10 @@ Bell & Garland, SC 2009), and every distance query runs on one kernel,
 that advances up to `_BATCH` sources one level per numpy pass, one bit per
 source, by ORing one gather per neighbor slot.  All-pairs distances, the
 exact diameter, single-source BFS and the packing verifier are built on
-it; everything user-facing speaks labels.
+it.  Whole distance rows come out of `_rows`, which keeps each distance
+bit-sliced across a few word planes during the sweep and unpacks them once
+per batch; the verifier reads only its own rows of each level.
+Everything user-facing speaks labels.
 """
 
 from __future__ import annotations
@@ -200,17 +203,48 @@ def _sweep(g: Graph, sources, depth_limit: int | None = None
         yield d, reached
 
 
-def _hits(reached: np.ndarray, width: int, rows: np.ndarray | None = None
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """(vertex, source position) of every set bit of one level of `_sweep`,
-    read only on `rows` when given.  Only touched rows are unpacked."""
-    if rows is not None:
-        reached = reached[rows]
-    touched = np.flatnonzero(reached.any(axis=1))
+def _unpack(words: np.ndarray, width: int) -> np.ndarray:
+    """(rows, width) uint8 0/1: bit j of each row of an (rows, words) uint64
+    array of `_sweep`."""
     # little-endian words, so that bit j of the row is bit j % 8 of byte j // 8
-    data = reached[touched].astype("<u8", copy=False).view(np.uint8)
-    r, j = np.nonzero(np.unpackbits(data, axis=1, count=width, bitorder="little"))
-    return (touched if rows is None else rows[touched])[r], j
+    data = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(data, axis=1, count=width, bitorder="little")
+
+
+def _hits(reached: np.ndarray, width: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex, source position) of every set bit of one level of `_sweep`,
+    read only on `rows`.  Only touched rows are unpacked."""
+    reached = reached[rows]
+    touched = np.flatnonzero(reached.any(axis=1))
+    r, j = np.nonzero(_unpack(reached[touched], width))
+    return rows[touched][r], j
+
+
+def _rows(g: Graph, batch: np.ndarray) -> np.ndarray:
+    """(len(batch), n) uint16 distances from each source of `batch`, with
+    `UNREACHABLE` where a source never reaches a vertex.
+
+    Bit-sliced (Biham, FSE 1997): plane i, laid out like a level of
+    `_sweep`, holds bit i of every distance.  Level d ORs what it reaches
+    into the planes of d's one bits, and plane i starts at d = 2**i, so
+    each plane is unpacked once per batch, not once per level.  A zero
+    off the sources' own cells was never reached.
+    """
+    planes: list[np.ndarray] = []
+    for d, reached in _sweep(g, batch):
+        if d == 1 << len(planes):
+            planes.append(reached)  # _sweep never reuses a yielded level
+        else:
+            for i, plane in enumerate(planes):
+                if d >> i & 1:
+                    plane |= reached
+    width = len(batch)
+    dist = np.zeros((g.n, width), dtype=np.uint16)
+    for i, plane in enumerate(planes):
+        dist |= _unpack(plane, width).astype(np.uint16) << i
+    dist[dist == 0] = UNREACHABLE
+    dist[batch, np.arange(width)] = 0
+    return dist.T
 
 
 def _batches(idx: np.ndarray) -> Iterator[np.ndarray]:
@@ -262,20 +296,16 @@ _ALL_PAIRS_LIMIT = 5000
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Materialize the full distance matrix.  Refuses graphs above
-    `_ALL_PAIRS_LIMIT` vertices; metric queries on larger graphs should go
-    through bounded BFS."""
+    """Materialize the full distance matrix, `_rows` of one batch of
+    sources at a time.  Refuses graphs above `_ALL_PAIRS_LIMIT` vertices;
+    metric queries on larger graphs should go through bounded BFS."""
     n = g.n
     if n > _ALL_PAIRS_LIMIT:
         raise TooLarge(f"all-pairs table for {n} vertices exceeds the"
                        f" {_ALL_PAIRS_LIMIT} vertex limit")
-    mat = np.full((n, n), UNREACHABLE, dtype=np.uint16)
-    np.fill_diagonal(mat, 0)
+    mat = np.empty((n, n), dtype=np.uint16)
     for batch in _batches(np.arange(n)):
-        cols = mat[:, batch[0]:batch[-1] + 1]  # a view; the matrix is symmetric
-        for d, reached in _sweep(g, batch):
-            v, j = _hits(reached, len(batch))
-            cols[v, j] = d
+        mat[batch[0]:batch[-1] + 1] = _rows(g, batch)
     return DistanceMatrix(labels=g.labels, matrix=mat, index=g._index)
 
 

@@ -32,6 +32,7 @@ from .graph_core import (
     _batches,
     _distances,
     _hits,
+    _rows,
     _sweep,
     all_pairs_distances,
     text_records,
@@ -74,7 +75,8 @@ class ViolationReport:
 def verify_packing_coloring(g: Graph, c: Coloring) -> ViolationReport:
     """Check every same-color pair with one sweep per color class c,
     truncated at depth c and read only on the class's own rows: a hit at
-    level d is exactly the violation (c, u, v, d).
+    level d is exactly the violation (c, u, v, d).  A class of one member
+    has no pair and gets no sweep.
 
     Returns the complete violation list, plus any vertices of g missing from
     the coloring; ok means both lists are empty.
@@ -90,6 +92,8 @@ def verify_packing_coloring(g: Graph, c: Coloring) -> ViolationReport:
     labels = g.labels
     violations = []
     for col, members in classes.items():
+        if len(members) < 2:
+            continue  # no pair to check
         rows = np.array(members)
         for batch in _batches(rows):
             for d, reached in _sweep(g, batch, depth_limit=col):
@@ -370,7 +374,9 @@ def greedy_packing_coloring(g: Graph, order: Sequence[str] | None = None,
                             seed: int = 0) -> dict[str, int]:
     """First-fit packing coloring; always valid, used for upper bounds.
     Vertices go in `order`, or by degree descending with seeded random
-    ties when no order is given."""
+    ties when no order is given.  Their distance rows come from `_rows`,
+    one batch of vertices at a time; an unreachable vertex never blocks a
+    color."""
     if order is None:
         rng = random.Random(seed)
         jitter = {lab: rng.random() for lab in g.labels}
@@ -382,11 +388,9 @@ def greedy_packing_coloring(g: Graph, order: Sequence[str] | None = None,
     n = g.n
     colors = np.zeros(n, dtype=np.int64)  # 0: not colored yet
     for batch in _batches(np.array([g.index(lab) for lab in seq], dtype=np.int64)):
-        dist = np.full((len(batch), n), n + 1, dtype=np.int32)  # n + 1: beyond any color
-        dist[np.arange(len(batch)), batch] = 0
-        for d, reached in _sweep(g, batch):
-            u, j = _hits(reached, len(batch))
-            dist[j, u] = d
+        rows = _rows(g, batch)
+        dist = rows.astype(np.int64, order="C")
+        dist[rows == UNREACHABLE] = n + 1  # beyond any color, for every n
         for j, v in enumerate(batch.tolist()):
             # smallest c with no vertex of color c within distance c of v
             near = colors[dist[j] <= colors]

@@ -1,10 +1,15 @@
 """CLI surface: subcommands, exit codes, manifests, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import sierpack
 from sierpack import cli, reproduce
 from sierpack._data import _read
 from sierpack.certify import EMPIRICAL, CertificateReport, lower_bound_sequence
@@ -278,6 +283,23 @@ def test_certify_refuted_block_exits_1(tmp_path, capsys):
                             str(block)], capsys)
     assert code == 1
     assert out.startswith("status REFUTED")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--family", "triangle", "--m", "2", "fig14.coloring"],  # exits 1 anyway
+    ["bounds", "--k", "4", "--n", "8"],  # exits 0 on a reader that stays
+])
+def test_reader_gone_exits_1_without_a_traceback(argv, tmp_path):
+    (tmp_path / "fig14.coloring").write_text(_read("fig14_st2.coloring"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails: no race with the reader
+    env = dict(os.environ, PYTHONPATH=str(Path(sierpack.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "sierpack.cli", *argv], cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_certify_generalized_requires_base(tmp_path, capsys):

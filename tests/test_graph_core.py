@@ -90,6 +90,10 @@ KERNEL_CASES = {
                                     + [(220, i) for i in range(50)]
                                     + [(221, i) for i in range(100, 220, 4)]
                                     + [(222, i) for i in (220, 221, *range(223, 240))]),
+    # distances up to 279 fill nine bit planes, an eight-plane (uint8) counter
+    # wraps; the unreached cells cross every plane, and there are two batches
+    "paths-279-and-20": numbered_graph(302, [(i, i + 1) for i in range(279)]
+                                       + [(i, i + 1) for i in range(280, 300)]),
 }
 
 

@@ -11,6 +11,7 @@ from sierpack import packing
 from sierpack._data import load_graph
 from sierpack._naive import (
     _fw_distances,
+    naive_all_pairs_distances,
     naive_chi_rho,
     naive_is_k_colorable,
     naive_verify_packing_coloring,
@@ -137,6 +138,17 @@ def test_verify_matches_label_level_oracle(seed):
     assert verify_packing_coloring(g, coloring) == naive_verify_packing_coloring(g, coloring)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_verify_matches_label_level_oracle_with_one_member_classes(seed):
+    # colors from 1..n: most classes have one member, which verify skips,
+    # next to a few pairs that share a color; some vertices stay uncolored
+    rng = random.Random(seed)
+    g = sparse_labelled_graph(rng, rng.choice([1, 2, 5, 40, 150]))
+    coloring = {lab: rng.randint(1, g.n) for lab in g.labels if rng.random() < 0.9}
+    assert verify_packing_coloring(g, coloring) == naive_verify_packing_coloring(g, coloring)
+
+
 def test_verify_matches_label_level_oracle_on_trap_cases():
     # a degree-0 last vertex after a degree-2 one; a class of isolated
     # vertices; the edgeless graph; n = 1
@@ -150,10 +162,11 @@ def test_verify_matches_label_level_oracle_on_trap_cases():
                     == naive_verify_packing_coloring(g, coloring)), (g.edges(), coloring)
 
 
-def first_fit(g, seq):
+def first_fit(g, seq, d=None):
     """Greedy by definition: each vertex in turn takes the smallest color c
-    with no vertex of color c within distance c."""
-    d = _fw_distances(g)
+    with no vertex of color c within distance c.  `d` is the distance table,
+    Floyd-Warshall's by default."""
+    d = _fw_distances(g) if d is None else d
     colors = {}
     for lab in seq:
         i, c = g.index(lab), 1
@@ -174,6 +187,16 @@ def test_greedy_is_first_fit_in_its_order():
         seq = rng.sample(g.labels, g.n)
         assert list(greedy_packing_coloring(g, order=seq).items()) == list(
             first_fit(g, seq).items())
+
+
+@pytest.mark.parametrize("g", [gen_triangle(5), sparse_labelled_graph(random.Random(600), 600)],
+                         ids=["ST5", "sparse-600"])
+def test_greedy_is_first_fit_beyond_one_batch(g):
+    # more sources than one sweep takes; on the disconnected graph an
+    # unreachable vertex must never block a color
+    d = naive_all_pairs_distances(g).matrix.tolist()
+    c = greedy_packing_coloring(g)
+    assert list(c.items()) == list(first_fit(g, list(c), d).items())
 
 
 def test_solver_matches_naive_oracle_on_small_suite():
