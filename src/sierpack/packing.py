@@ -8,7 +8,9 @@ descending, then label) and tries its colors from highest to lowest, with
 forward checking on per-vertex color masks and per-color capacity pruning
 from exact maximum i-packing sizes, all read from one per-graph context,
 `_Metric`, that `chi_rho` reuses for every k.  UNSAT answers are only
-reported when the tree is exhausted within budget.
+reported when the tree is exhausted within budget: a number of seconds, or
+with `budget=None` the `NODE_CAP` nodes of a call, which never reads the
+clock.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 
 DEFAULT_BUDGET = 300.0
+NODE_CAP = 1_000_000  # branch-and-bound nodes of one call under budget=None
 _EXACT_SIZE_LIMIT = 60  # max-packing / clique machinery is exact only up to here
 
 Coloring = Mapping[str, int]
@@ -177,34 +180,38 @@ class _Metric:
             self._balls[c] = [int.from_bytes(r.tobytes(), "little") for r in rows]
         return self._balls[c]
 
-    def max_packing(self, i: int, budget: float = DEFAULT_BUDGET) -> int:
+    def max_packing(self, i: int, budget: float | None = DEFAULT_BUDGET) -> int:
         """Exact size, the clique on the complements of ball(i); memoised,
-        but a SolveTimeout is not, so a later call retries."""
+        but a SolveTimeout is not, so a later call retries.  No deadline
+        under budget=None."""
         if i not in self._packing:
             full = (1 << self.n) - 1
             far = [full & ~b & ~(1 << v) for v, b in enumerate(self.ball(i))]
-            self._packing[i] = _max_clique_size(far, time.monotonic() + budget)
+            deadline = None if budget is None else time.monotonic() + budget
+            self._packing[i] = _max_clique_size(far, deadline)
         return self._packing[i]
 
-    def counting_bound(self) -> int:
+    def counting_bound(self, budget: float | None = DEFAULT_BUDGET) -> int:
         """Largest t with sum of max i-packing sizes, i < t, still below |V|;
         at least the clique number."""
         total = t = 0  # total: sum of max i-packing sizes for i = 1..t
         while total < self.n:
             t += 1
-            total += self.max_packing(t)
+            total += self.max_packing(t, budget)
         return max(t, _max_clique_size(self.ball(1)))
 
-    def capacities(self, k: int, budget: float) -> list[int]:
+    def capacities(self, k: int, budget: float | None) -> list[int]:
         """caps[c] = safe upper bound on |color class c|, exact when feasible."""
         caps = [0] + [self.n] * k
-        deadline = time.monotonic() + budget
+        deadline = None if budget is None else time.monotonic() + budget
         for c in range(1, k + 1):
             if c >= self.diam:
                 caps[c] = 1  # spread beyond the diameter: one vertex per such color
             elif self.n <= _EXACT_SIZE_LIMIT:
                 try:
-                    caps[c] = self.max_packing(c, max(0.05, deadline - time.monotonic()))
+                    left = None if deadline is None else max(
+                        0.05, deadline - time.monotonic())
+                    caps[c] = self.max_packing(c, left)
                 except SolveTimeout:
                     pass  # keep the safe cap n; a later k retries
         return caps
@@ -246,8 +253,10 @@ class DecideResult:
 
 def is_packing_k_colorable(g: Graph, k: int,
                            constraints: ColorConstraints | None = None,
-                           budget: float = DEFAULT_BUDGET) -> DecideResult:
-    """Decide existence of a packing coloring with colors 1..k under constraints."""
+                           budget: float | None = DEFAULT_BUDGET) -> DecideResult:
+    """Decide existence of a packing coloring with colors 1..k under
+    constraints, within `budget` seconds, or `NODE_CAP` nodes when budget is
+    None; TIMEOUT when the budget runs out first."""
     if k < 1:
         raise ValueError("k must be >= 1")
     start = time.monotonic()
@@ -257,11 +266,14 @@ def is_packing_k_colorable(g: Graph, k: int,
     for lab in list(constraints.forbidden) + list(constraints.required):
         if not g.has_vertex(lab):
             raise UnknownLabel(f"constraint on unknown vertex {lab!r}")
-    return _decide(_Metric(g), k, constraints, start, start + budget)
+    deadline = None if budget is None else start + budget
+    return _decide(_Metric(g), k, constraints, start, deadline, NODE_CAP)
 
 
 def _decide(metric: _Metric, k: int, constraints: ColorConstraints,
-            start: float, deadline: float) -> DecideResult:
+            start: float, deadline: float | None, cap: int) -> DecideResult:
+    """The branch-and-bound: it stops at `deadline`, or after `cap` nodes
+    when deadline is None; both are tested every 2048 nodes."""
     g, n = metric.g, metric.n
     avail = [(1 << k) - 1] * n
     for lab, cols in constraints.forbidden.items():
@@ -278,7 +290,8 @@ def _decide(metric: _Metric, k: int, constraints: ColorConstraints,
                                               g.labels[v]))
     balls = [None] + [metric.ball(c) for c in range(1, k + 1)]
 
-    caps = metric.capacities(k, min(5.0, (deadline - start) / 4))
+    caps = metric.capacities(k, None if deadline is None else
+                             min(5.0, (deadline - start) / 4))
     if sum(caps[1:]) < n:
         return DecideResult(UNSAT, None, 0, time.monotonic() - start)
 
@@ -302,7 +315,8 @@ def _decide(metric: _Metric, k: int, constraints: ColorConstraints,
     def assign(depth: int) -> bool:
         nonlocal nodes, timed_out
         nodes += 1
-        if timed_out or (nodes % 2048 == 0 and time.monotonic() > deadline):
+        if timed_out or (nodes % 2048 == 0 and (
+                nodes >= cap if deadline is None else time.monotonic() > deadline)):
             timed_out = True
             return False
         if depth == n:
@@ -401,16 +415,17 @@ def greedy_packing_coloring(g: Graph, order: Sequence[str] | None = None,
     return {lab: int(colors[g.index(lab)]) for lab in seq}
 
 
-def chi_rho(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
+def chi_rho(g: Graph, budget: float | None = DEFAULT_BUDGET) -> SolveResult:
     """Exact packing chromatic number: climb k from a lower bound until SAT.
 
-    EXACT when the bracket closes; BOUNDS when the budget ran out after at
-    least one decision settled; TIMEOUT when not even the first decision
-    finished.  lower is always a proven bound, upper comes from a verified
-    greedy coloring.
+    The budget is `budget` seconds, or `NODE_CAP` nodes over all k when
+    budget is None.  EXACT when the bracket closes; BOUNDS when the budget
+    ran out after at least one decision settled; TIMEOUT when not even the
+    first decision finished.  lower is always a proven bound, upper comes
+    from a first-fit greedy coloring, valid by construction.
     """
     start = time.monotonic()
-    deadline = start + budget
+    deadline = None if budget is None else start + budget
     if g.n == 0:
         return SolveResult(EXACT, 0, 0, {}, 0, 0.0)
     if (_distances(g, 0) < 0).any():
@@ -420,19 +435,21 @@ def chi_rho(g: Graph, budget: float = DEFAULT_BUDGET) -> SolveResult:
     upper = max_color(upper_witness)
     # one context for the bound and every k; past the exact limit, built at the first k
     metric = _Metric(g) if g.n <= _EXACT_SIZE_LIMIT else None
-    lower = metric.counting_bound() if metric else (2 if g.edge_count else 1)
+    sizes_budget = None if budget is None else DEFAULT_BUDGET  # per packing size
+    lower = metric.counting_bound(sizes_budget) if metric else (2 if g.edge_count else 1)
 
     nodes = 0
     settled = 0
     k = lower
     while k < upper:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
+        if (nodes >= NODE_CAP if deadline is None
+                else time.monotonic() >= deadline):
             status = BOUNDS if settled else TIMEOUT
             return SolveResult(status, k, upper, upper_witness, nodes,
                                time.monotonic() - start)
         metric = metric or _Metric(g)
-        res = _decide(metric, k, ColorConstraints(), time.monotonic(), deadline)
+        res = _decide(metric, k, ColorConstraints(), time.monotonic(), deadline,
+                      NODE_CAP - nodes)
         nodes += res.nodes_explored
         if res.status == SAT:
             return SolveResult(EXACT, k, k, res.witness, nodes,

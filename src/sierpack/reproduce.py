@@ -6,7 +6,9 @@ their outcomes instead of proving the same fact again, and it fails without
 running when a premise failed.  `run_checks` runs a selection of rows in
 table order with the premises of every selected row first, each row once;
 `sierpack reproduce` runs the whole table and the acceptance tests run
-slices of it.  The only inputs a run takes are in `Settings`.
+slices of it.  A run takes no inputs: every solver call a row makes is
+capped at `packing.NODE_CAP` nodes, never at a number of seconds, so a
+verdict does not depend on the clock.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import platform
 import re
 import time
@@ -25,7 +26,7 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, packing
 from ._data import MissingData, load_coloring, load_graph
 from ._naive import naive_chi_rho, random_connected_graphs
 from .certify import (CERTIFIED, CertifyError, build_k4e_eleven_coloring,
@@ -45,14 +46,6 @@ _DATA_FILES = (
     "h_into_s3c4.map", "h_into_s3p4.map", "hprime_into_s2c4.map",
     "s23_into_s2k4e.map",
 )
-
-# solver budgets of the rows, in seconds; the direct 48-vertex budget is
-# `Settings`
-_EXACT_BUDGET = 60.0
-_UNSAT_BUDGET = 300.0
-_ANCHOR_BUDGET = 600.0
-_ORACLE_BUDGET = 600.0
-_C3_BUDGET = {"quick": 15.0, "full": 3600.0}
 
 
 # --------------------------------------------------------------- manifest
@@ -119,30 +112,6 @@ class RunManifest:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Settings:
-    """The inputs of a run: the profile and the direct 48-vertex budget, with
-    the variable that set the budget, or "default"."""
-
-    profile: str = "quick"
-    c3_budget: float = _C3_BUDGET["quick"]
-    c3_source: str = "default"
-
-    @classmethod
-    def from_env(cls, profile: str = "quick") -> Settings:
-        """The profile's budget, overridden by SIERPACK_C3_BUDGET where that
-        is set."""
-        return cls(profile, *_env_seconds("SIERPACK_C3_BUDGET", _C3_BUDGET[profile]))
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "profile": self.profile,
-            "c3_budget": {"seconds": self.c3_budget, "source": self.c3_source},
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        }
-
-
 def checked_seconds(name: str, raw: str | float) -> float:
     """`raw` as a finite number of seconds >= 0, or a one-line ValueError
     naming `name`: a NaN or infinite budget never expires."""
@@ -156,13 +125,6 @@ def checked_seconds(name: str, raw: str | float) -> float:
     return seconds
 
 
-def _env_seconds(var: str, default: float) -> tuple[float, str]:
-    raw = os.environ.get(var)
-    if raw is None:
-        return default, "default"
-    return checked_seconds(var, raw), var
-
-
 def _hash_data_files() -> dict[str, str]:
     hashes = {}
     for name in _DATA_FILES:
@@ -174,11 +136,14 @@ def _hash_data_files() -> dict[str, str]:
     return hashes
 
 
-def new_manifest(command: Sequence[str], settings: Settings) -> RunManifest:
+def new_manifest(command: Sequence[str]) -> RunManifest:
     """The manifest of a reproduce run before any row has run: the hashes
-    of the packaged data and the settings in effect."""
+    of the packaged data, the node cap of the solver calls and the Python
+    and numpy versions."""
     return RunManifest(command=list(command), inputs=_hash_data_files(),
-                       settings=settings.as_dict())
+                       settings={"node_cap": packing.NODE_CAP,
+                                 "python": platform.python_version(),
+                                 "numpy": np.__version__})
 
 
 # ------------------------------------------------------------- the runner
@@ -191,36 +156,28 @@ class Outcome(NamedTuple):
 
 
 @dataclass(frozen=True)
-class Context:
-    """What a check may read: the run's settings and the outcomes of the
-    rows run before it."""
-
-    settings: Settings
-    done: dict[str, Outcome]
-
-
-@dataclass(frozen=True)
 class Check:
-    """One row of the table.  `premises` name earlier rows whose outcomes
-    `run` reads; the row fails without running when one of them failed."""
+    """One row of the table.  `run` gets the outcomes of the rows run
+    before it, by name; `premises` name the earlier rows it reads, and the
+    row fails without running when one of them failed."""
 
     name: str
     claim: str
-    run: Callable[[Context], Outcome]
+    run: Callable[[dict[str, Outcome]], Outcome]
     premises: tuple[str, ...] = ()
 
 
-def _run_one(check: Check, ctx: Context) -> CheckRow:
+def _run_one(check: Check, done: dict[str, Outcome]) -> CheckRow:
     t0 = time.perf_counter()
-    failed = [p for p in check.premises if ctx.done[p].status == "fail"]
+    failed = [p for p in check.premises if done[p].status == "fail"]
     if failed:
         out = Outcome("fail", "premise failed: " + ", ".join(failed))
     else:
         try:
-            out = check.run(ctx)
+            out = check.run(done)
         except (GraphError, CertifyError, MissingData, ValueError) as exc:
             out = Outcome("fail", f"{type(exc).__name__}: {exc}")
-    ctx.done[check.name] = out
+    done[check.name] = out
     return CheckRow(check.name, check.claim, out.status,
                     time.perf_counter() - t0, out.detail)
 
@@ -263,10 +220,10 @@ _EXACT_VALUES = (  # (instance, packing chromatic number)
 )
 
 
-def _exact_value(graph: str, value: int, ctx: Context) -> Outcome:
-    res = chi_rho(_family_graph(graph), budget=_EXACT_BUDGET)
+def _exact_value(graph: str, value: int, done: dict[str, Outcome]) -> Outcome:
+    res = chi_rho(_family_graph(graph), budget=None)
     return Outcome(_ok(res.status == EXACT and res.upper == value),
-                   f"{res.status} {res.lower}..{res.upper}")
+                   f"{res.status} {res.lower}..{res.upper}, {res.nodes_explored} nodes")
 
 
 # (row, claim, instance, k, prefixes of the labels where color k is banned);
@@ -282,12 +239,12 @@ _UNSAT_FACTS = (
 )
 
 
-def _unsat(graph: str, k: int, banned: tuple[str, ...], ctx: Context) -> Outcome:
+def _unsat(graph: str, k: int, banned: tuple[str, ...], done: dict[str, Outcome]) -> Outcome:
     g = _family_graph(graph)
     forbidden = {lab: frozenset({k}) for lab in g.labels if lab.startswith(banned)}
     res = is_packing_k_colorable(g, k, ColorConstraints(forbidden=forbidden),
-                                 budget=_UNSAT_BUDGET)
-    return Outcome(_ok(res.status == UNSAT), res.status)
+                                 budget=None)
+    return Outcome(_ok(res.status == UNSAT), f"{res.status}, {res.nodes_explored} nodes")
 
 
 # ------------------------------------------- the dimension-3 lower bound
@@ -299,15 +256,14 @@ def _dim3_union() -> Graph:
     return induced_subgraph(_family_graph("S3_K4E"), _side_labels("3") | _side_labels("1"))
 
 
-def _dim3(ctx: Context) -> Outcome:
-    budget = ctx.settings.c3_budget
-    res = is_packing_k_colorable(_dim3_union(), 7, budget=budget)
+def _dim3(done: dict[str, Outcome]) -> Outcome:
+    res = is_packing_k_colorable(_dim3_union(), 7, budget=None)
     if res.status == UNSAT:
         return Outcome("pass", f"exhaustive, {res.nodes_explored} nodes")
     if res.status == SAT:
         return Outcome("fail", "solver found a 7-coloring")
-    return Outcome("fail", f"UNSAT not proven: solve exceeded {budget:g}s"
-                   f" after {res.nodes_explored} nodes")
+    return Outcome("fail", f"UNSAT not proven: node cap {packing.NODE_CAP}"
+                   f" reached after {res.nodes_explored} nodes")
 
 
 def _coloring(source: str) -> Coloring:
@@ -326,7 +282,7 @@ _SHIPPED = (  # (coloring file or the built "eleven", instance, top color)
 )
 
 
-def _verify(source: str, graph: str, top: int, ctx: Context) -> Outcome:
+def _verify(source: str, graph: str, top: int, done: dict[str, Outcome]) -> Outcome:
     coloring = _coloring(source)
     report = verify_packing_coloring(_family_graph(graph), coloring)
     detail = "valid" if report.ok else \
@@ -342,22 +298,22 @@ _BLOCKS = (  # (row suffix, coloring file or the built "eleven", base, block dim
 )
 
 
-def _certify(source: str, base: str, m: int, ctx: Context) -> Outcome:
+def _certify(source: str, base: str, m: int, done: dict[str, Outcome]) -> Outcome:
     report = certify_generalized_tiling(base_graph_library(base), m, _coloring(source))
     return Outcome(_ok(report.status == CERTIFIED),
                    f"{report.status} depth {report.max_dimension}",
                    report.max_dimension)
 
 
-def _tile(cert: str, m: int, ctx: Context) -> Outcome:
+def _tile(cert: str, m: int, done: dict[str, Outcome]) -> Outcome:
     # the certify backstop of the block verifies its m+1 and m+2 tilings
     # exhaustively; this row surfaces that
-    depth = ctx.done[cert].value
+    depth = done[cert].value
     return Outcome(_ok(depth >= m + 2), f"verified"
                    f" exhaustively through dimension {depth} while certifying")
 
 
-def _bounds_forms(ctx: Context) -> Outcome:
+def _bounds_forms(done: dict[str, Outcome]) -> Outcome:
     for k in range(4, 11):
         seq = lower_bound_sequence(k, 30)
         for n in range(1, 31):
@@ -366,18 +322,19 @@ def _bounds_forms(ctx: Context) -> Outcome:
     return Outcome("pass", "k=4..10, n<=30")
 
 
-def _bounds_monotone(ctx: Context) -> Outcome:
+def _bounds_monotone(done: dict[str, Outcome]) -> Outcome:
     ok = all(monotonicity_check(k, 30) for k in range(4, 11))
     return Outcome(_ok(ok), "k=4..10, n<=30")
 
 
-def _bounds_anchor(ctx: Context) -> Outcome:
+def _bounds_anchor(done: dict[str, Outcome]) -> Outcome:
     a2 = lower_bound_sequence(4, 2).term(2)
     if a2 != 10:
         return Outcome("fail", f"a_2 = {a2}")
-    res = chi_rho(_family_graph("S2_4"), budget=_ANCHOR_BUDGET)
+    res = chi_rho(_family_graph("S2_4"), budget=None)
     return Outcome(_ok(res.status == EXACT and res.upper == 10),
-                   f"a_2 = 10, solver {res.status} {res.lower}..{res.upper}")
+                   f"a_2 = 10, solver {res.status} {res.lower}..{res.upper},"
+                   f" {res.nodes_explored} nodes")
 
 
 # ----------------------------------------------------------- block search
@@ -386,7 +343,7 @@ def _bounds_anchor(ctx: Context) -> Outcome:
 # the replays are deterministic, so a row passes only on a certificate.
 
 
-def _search(max_color: int, seed: int, iterations: int, ctx: Context) -> Outcome:
+def _search(max_color: int, seed: int, iterations: int, done: dict[str, Outcome]) -> Outcome:
     out = search_certified_coloring(SearchConfig(family="triangle", m=5, max_color=max_color,
                                                  seed=seed, iterations=iterations))
     if out.certified_bound is None:
@@ -395,13 +352,13 @@ def _search(max_color: int, seed: int, iterations: int, ctx: Context) -> Outcome
                    out.certified_bound)
 
 
-def _search_best(ctx: Context) -> Outcome:
+def _search_best(done: dict[str, Outcome]) -> Outcome:
     # both premises passed, so both carry a certified bound
-    return Outcome("report", str(min(ctx.done[name].value
+    return Outcome("report", str(min(done[name].value
                                      for name in ("search.certified", "search.target"))))
 
 
-def _structure_counts(ctx: Context) -> Outcome:
+def _structure_counts(done: dict[str, Outcome]) -> Outcome:
     for name in ("K4", "C4", "P4", "K13", "K4E", "PAW"):
         base = base_graph_library(name)
         k, e = base.k, len(base.edges)
@@ -412,7 +369,7 @@ def _structure_counts(ctx: Context) -> Outcome:
     return Outcome("pass", "six bases, n<=5")
 
 
-def _structure_diameter(ctx: Context) -> Outcome:
+def _structure_diameter(done: dict[str, Outcome]) -> Outcome:
     for k in (3, 4, 5):
         for n in range(1, 7):
             got = diameter(gen_sierpinski(n, k))
@@ -421,7 +378,7 @@ def _structure_diameter(ctx: Context) -> Outcome:
     return Outcome("pass", "k=3,4,5, n<=6")
 
 
-def _structure_triangle(ctx: Context) -> Outcome:
+def _structure_triangle(done: dict[str, Outcome]) -> Outcome:
     for n in range(1, 7):
         g = gen_triangle(n)
         if g.n != (3 ** (n + 1) + 3) // 2 or g.edge_count != 3 ** (n + 1):
@@ -429,23 +386,22 @@ def _structure_triangle(ctx: Context) -> Outcome:
     return Outcome("pass", "n<=6")
 
 
-def _structure_recursive(ctx: Context) -> Outcome:
+def _structure_recursive(done: dict[str, Outcome]) -> Outcome:
     for n in range(1, 6):
         if gen_triangle(n) != gen_triangle_recursive(n):
             return Outcome("fail", f"n={n}: label or edge sets differ")
     return Outcome("pass", "n<=5")
 
 
-def _oracle(ctx: Context) -> Outcome:
-    deadline = time.monotonic() + _ORACLE_BUDGET
+def _oracle(done: dict[str, Outcome]) -> Outcome:
+    nodes = 0
     for i, g in enumerate(random_connected_graphs(100, 7)):
-        left = deadline - time.monotonic()
-        if left <= 0:
-            return Outcome("fail", f"budget expired after {i} graphs")
-        res = chi_rho(g, budget=left)
+        res = chi_rho(g, budget=None)
+        nodes += res.nodes_explored
         if res.status != EXACT or res.upper != naive_chi_rho(g):
-            return Outcome("fail", f"graph {i}: solver {res.lower}..{res.upper}")
-    return Outcome("pass", "100 random graphs, seed 7")
+            return Outcome("fail", f"graph {i}: solver {res.status}"
+                           f" {res.lower}..{res.upper}, {res.nodes_explored} nodes")
+    return Outcome("pass", f"100 random graphs, seed 7, {nodes} nodes")
 
 
 # -------------------------------------------------------------- the table
@@ -489,8 +445,7 @@ def select(*prefixes: str) -> list[str]:
     return [c.name for c in TABLE if c.name.startswith(prefixes)]
 
 
-def run_checks(names: Iterable[str], settings: Settings = Settings(),
-               table: Sequence[Check] = TABLE) -> list[CheckRow]:
+def run_checks(names: Iterable[str], table: Sequence[Check] = TABLE) -> list[CheckRow]:
     """Run the named rows and, first, their premises: each row once, in
     table order."""
     wanted = set(names)
@@ -500,14 +455,14 @@ def run_checks(names: Iterable[str], settings: Settings = Settings(),
     for check in reversed(table):
         if check.name in wanted:
             wanted.update(check.premises)
-    ctx = Context(settings, {})
-    return [_run_one(c, ctx) for c in table if c.name in wanted]
+    done: dict[str, Outcome] = {}
+    return [_run_one(c, done) for c in table if c.name in wanted]
 
 
-def run_suite(command: Sequence[str], settings: Settings) -> RunManifest:
+def run_suite(command: Sequence[str]) -> RunManifest:
     """Run the whole table into a manifest."""
     t0 = time.perf_counter()
-    manifest = new_manifest(command, settings)
-    manifest.results = run_checks([c.name for c in TABLE], settings)
+    manifest = new_manifest(command)
+    manifest.results = run_checks([c.name for c in TABLE])
     manifest.elapsed = time.perf_counter() - t0
     return manifest

@@ -2,18 +2,15 @@
 
 Each test runs a slice of the check table behind `sierpack reproduce`,
 asserts every row passes (informational rows are exempt), and enforces
-the documented time budgets.  SIERPACK_C3_BUDGET sets the seconds of the
-exhaustive 48-vertex solve, which must prove UNSAT within them.
+the documented time budgets.  The exhaustive 48-vertex solve must prove
+UNSAT within the node cap of its solver call.
 """
-
-import os
 
 from sierpack import reproduce
 
 
-def _run(*prefixes, **settings):
-    return reproduce.run_checks(reproduce.select(*prefixes),
-                                reproduce.Settings(**settings))
+def _run(*prefixes):
+    return reproduce.run_checks(reproduce.select(*prefixes))
 
 
 def _show(rows):
@@ -46,8 +43,7 @@ def test_infeasible_subgraphs():
 
 
 def test_dim3_lower_bound():
-    direct = float(os.environ.get("SIERPACK_C3_BUDGET", "90"))
-    rows = _run("lower.dim3", c3_budget=direct)
+    rows = _run("lower.dim3")
     _assert_rows(rows)
     verdict = [r for r in rows if r.name == "lower.dim3"]
     assert verdict and verdict[0].status == "pass", _show(rows)

@@ -1,16 +1,18 @@
 """CLI surface: subcommands, exit codes, manifests, file round trips."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import sierpack
-from sierpack import cli, reproduce
+from sierpack import cli, packing, reproduce
 from sierpack._data import _read
 from sierpack.certify import EMPIRICAL, CertificateReport, lower_bound_sequence
 from sierpack.graph_core import read_graph
@@ -385,29 +387,22 @@ def test_manifest_json_round_trip():
 
 
 def test_reproduce_manifest_records_settings(monkeypatch, capsys):
-    monkeypatch.setenv("SIERPACK_C3_BUDGET", "42")
-    settings = reproduce.Settings.from_env("quick")
-    assert settings.c3_budget == 42.0
-    doc = json.loads(reproduce.new_manifest(["sierpack", "reproduce"],
-                                            settings).to_json())
+    doc = json.loads(reproduce.new_manifest(["sierpack", "reproduce"]).to_json())
     got = doc["settings"]
-    assert got["profile"] == "quick"
-    assert got["c3_budget"] == {"seconds": 42.0,
-                                "source": "SIERPACK_C3_BUDGET"}
-    assert sorted(got) == ["c3_budget", "numpy", "profile", "python"]
+    assert sorted(got) == ["node_cap", "numpy", "python"]
+    assert got["node_cap"] == packing.NODE_CAP == 1_000_000
     assert got["python"].count(".") == 2 and got["numpy"]
     assert len(doc["inputs"]) == 13
-    monkeypatch.delenv("SIERPACK_C3_BUDGET")
-    full = reproduce.Settings.from_env("full").as_dict()
-    assert full["c3_budget"] == {"seconds": 3600.0, "source": "default"}
-    for raw in ("soon", "nan", "-1", "inf"):
-        monkeypatch.setenv("SIERPACK_C3_BUDGET", raw)
-        with pytest.raises(ValueError, match="SIERPACK_C3_BUDGET"):
-            reproduce.Settings.from_env("quick")
-    # the bad budget stops the run before any row, with one line
-    code, out, err = run_cli(["reproduce"], capsys)
-    assert (code, out, err.count("\n")) == (3, "", 1)
-    assert "SIERPACK_C3_BUDGET" in err
+    # the run reads no environment variable
+    monkeypatch.setenv("SIERPACK_C3_BUDGET", "soon")
+    again = json.loads(reproduce.new_manifest(["sierpack", "reproduce"]).to_json())
+    assert again == doc
+    # quick is the only profile
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["reproduce", "--profile", "full"])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out, err.count("\n")) == (3, "", 1)
+    assert "'full'" in err
 
 
 def test_packaged_data_hashes_are_complete():
@@ -428,6 +423,23 @@ def test_shipped_coloring_checks_all_pass():
 def test_small_oracle_check_passes_quickly():
     (row,) = reproduce.run_checks(["oracle.random"])
     assert row.status == "pass"
+
+
+def test_solver_rows_do_not_read_the_clock(monkeypatch):
+    # a clock that jumps an hour per call: the solver rows spend nodes, not
+    # seconds, so every verdict and node count is that of a normal run
+    hours = itertools.count(0.0, 3600.0)
+    monkeypatch.setattr(time, "monotonic", lambda: next(hours))
+    rows = reproduce.run_checks(reproduce.select(
+        "solver.", "unsat.", "lower.dim3", "bounds.anchor", "oracle."))
+    assert len(rows) == 24
+    assert [r for r in rows if r.status != "pass"] == []
+    detail = {r.name: r.detail for r in rows}
+    assert detail["solver.st2"] == "EXACT 8..8, 31598 nodes"
+    assert detail["lower.dim3"] == "exhaustive, 76451 nodes"
+    assert detail["bounds.anchor"] == "a_2 = 10, solver EXACT 10..10, 422396 nodes"
+    assert detail["unsat.h"] == "UNSAT, 96 nodes"
+    assert detail["oracle.random"] == "100 random graphs, seed 7, 2194 nodes"
 
 
 # ------------------------------------------------------------ check table
@@ -475,7 +487,8 @@ def test_side3_banned_color_facts_are_solved_once(monkeypatch):
     side3 = reproduce._family_graph("side3")
     current, banned_solves, answer = [], [], []
 
-    def fake_decide(g, k, constraints=None, budget=0.0):
+    def fake_decide(g, k, constraints=None, *, budget):
+        assert budget is None  # capped in nodes, not seconds
         if g == side3 and k == 7 and constraints and constraints.forbidden:
             banned_solves.append(current[-1])
         if g.n == 48:
@@ -492,7 +505,7 @@ def test_side3_banned_color_facts_are_solved_once(monkeypatch):
     table = [tracked(c) for c in reproduce.TABLE
              if c.name.startswith(("unsat.", "lower.dim3"))]
     for status, detail in [
-            ("TIMEOUT", "UNSAT not proven: solve exceeded 15s after 1234 nodes"),
+            ("TIMEOUT", "UNSAT not proven: node cap 1000000 reached after 1234 nodes"),
             ("SAT", "solver found a 7-coloring")]:
         answer.append(status)
         banned_solves.clear()
@@ -535,4 +548,4 @@ def test_bounds_anchor_fails_unless_chi_rho_is_ten(monkeypatch):
     monkeypatch.setattr(reproduce, "chi_rho",
                         lambda g, budget: SolveResult(EXACT, 11, 11, None, 0, 0.0))
     (row,) = reproduce.run_checks(["bounds.anchor"])
-    assert (row.status, row.detail) == ("fail", "a_2 = 10, solver EXACT 11..11")
+    assert (row.status, row.detail) == ("fail", "a_2 = 10, solver EXACT 11..11, 0 nodes")

@@ -44,7 +44,7 @@ from sierpack.packing import (
     parse_coloring_text,
     verify_packing_coloring,
 )
-from sierpack.reproduce import _dim3_union, _family_graph
+from sierpack.reproduce import _dim3_union, _family_graph, run_checks
 from sierpack.sierpinski import (
     base_graph_library,
     gen_generalized,
@@ -280,6 +280,22 @@ def test_search_tree_is_pinned(run, status, nodes):
     # capacities changes the tree, and must show up here
     res = run()
     assert (res.status, res.nodes_explored) == (status, nodes)
+
+
+def test_capped_solve_stops_deterministically(monkeypatch):
+    # budget=None: the node cap is tested every 2048 nodes, so a solve stops
+    # at the first multiple of 2048 at or above it, on every run
+    monkeypatch.setattr(packing, "NODE_CAP", 50_000)
+    for _ in range(2):
+        res = is_packing_k_colorable(_dim3_union(), 7, budget=None)
+        assert (res.status, res.nodes_explored) == (TIMEOUT, 51_200)
+    (row,) = run_checks(["lower.dim3"])
+    assert (row.status, row.detail) == (
+        "fail", "UNSAT not proven: node cap 50000 reached after 51200 nodes")
+    # chi_rho caps its nodes over all k, not per decision
+    monkeypatch.setattr(packing, "NODE_CAP", 10_000)
+    res = chi_rho(gen_triangle(2), budget=None)
+    assert (res.status, res.lower, res.upper, res.nodes_explored) == (BOUNDS, 7, 11, 10_153)
 
 
 def test_chi_rho_builds_one_distance_matrix(monkeypatch):
