@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .graph_core import Graph, all_pairs_distances
-from .packing import Coloring, verify_packing_coloring
+from .packing import Coloring, _first_violation
 from .sierpinski import (
     BaseGraph,
     UnknownName,
@@ -141,13 +141,12 @@ def _valid_block(family: str, m: int, block: Coloring,
             shown = ", ".join(f"{e}={c}" for e, c in sorted(colors.items()))
             raise CornerColorMismatch(f"corner colors differ: {shown}")
     g = _block_graph(family, m, base)
-    report = verify_packing_coloring(g, block)
-    if report.uncolored:
+    uncolored, violation = _first_violation(g, block)
+    if uncolored:
         raise InvalidBlockColoring(
-            f"{len(report.uncolored)} uncolored block vertices, "
-            f"first {report.uncolored[0]!r}")
-    if report.violations:
-        c, u, v, d = report.violations[0]
+            f"{len(uncolored)} uncolored block vertices, first {uncolored[0]!r}")
+    if violation:
+        c, u, v, d = violation
         raise InvalidBlockColoring(
             f"block pair {u}, {v} shares color {c} at distance {d}")
     return g
@@ -239,18 +238,20 @@ def _margins(table: ConditionTable, block: Coloring) -> dict[int, dict[str, int]
 def _certify(family: str, m: int, block: Coloring, base: BaseGraph | None,
              depth: int) -> CertificateReport:
     """Validate the block, read its margins off the condition table, then
-    verify the tilings at m+1..m+depth exhaustively."""
+    verify the tilings at m+1..m+depth exhaustively.  A refuted tiling is
+    swept only up to its lowest violating color class, whose first pair is
+    the reported violation."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     g = _valid_block(family, m, block, base)
     margins = _margins(_conditions(g, family, m, base), block)
     last_clean = m
     for n in range(m + 1, m + depth + 1):
-        report = verify_packing_coloring(*_tiled(family, m, block, n, base))
-        if report.violations:
+        violation = _first_violation(*_tiled(family, m, block, n, base))[1]
+        if violation:
             return CertificateReport(REFUTED, margins,
                                      max_dimension=last_clean, refuted_dimension=n,
-                                     violation=report.violations[0])
+                                     violation=violation)
         last_clean = n
     structural = all(min(c.values()) >= 1 for c in margins.values())
     return CertificateReport(CERTIFIED if structural else EMPIRICAL, margins,

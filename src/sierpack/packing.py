@@ -75,15 +75,8 @@ class ViolationReport:
     uncolored: list[str]
 
 
-def verify_packing_coloring(g: Graph, c: Coloring) -> ViolationReport:
-    """Check every same-color pair with one sweep per color class c,
-    truncated at depth c and read only on the class's own rows: a hit at
-    level d is exactly the violation (c, u, v, d).  A class of one member
-    has no pair and gets no sweep.
-
-    Returns the complete violation list, plus any vertices of g missing from
-    the coloring; ok means both lists are empty.
-    """
+def _classes(g: Graph, c: Coloring) -> tuple[dict[int, list[int]], list[str]]:
+    """Each color's vertex indices, and the sorted labels c leaves uncolored."""
     classes: dict[int, list[int]] = {}
     for lab, col in c.items():
         if not g.has_vertex(lab):
@@ -91,13 +84,20 @@ def verify_packing_coloring(g: Graph, c: Coloring) -> ViolationReport:
         if col < 1:
             raise ValueError(f"color {col} for {lab!r} is below 1")
         classes.setdefault(col, []).append(g.index(lab))
-    uncolored = sorted(lab for lab in g.labels if lab not in c)
+    return classes, sorted(lab for lab in g.labels if lab not in c)
+
+
+def _class_violations(g: Graph, classes: dict[int, list[int]]):
+    """Yield each violating class's sorted (c, u, v, d) list, in ascending
+    color order.  Class c gets one sweep, truncated at depth c and read only
+    on its own rows, so a hit at level d is exactly the violation (c, u, v,
+    d); a class of one member has no pair and gets no sweep."""
     labels = g.labels
-    violations = []
-    for col, members in classes.items():
+    for col, members in sorted(classes.items()):
         if len(members) < 2:
             continue  # no pair to check
         rows = np.array(members)
+        found = []
         for batch in _batches(rows):
             for d, reached in _sweep(g, batch, depth_limit=col):
                 v, j = _hits(reached, len(batch), rows)
@@ -105,9 +105,27 @@ def verify_packing_coloring(g: Graph, c: Coloring) -> ViolationReport:
                 for a, b in zip(u.tolist(), v.tolist()):
                     if a < b:  # each pair is hit from both ends; keep one
                         a, b = sorted((labels[a], labels[b]))
-                        violations.append((col, a, b, d))
+                        found.append((col, a, b, d))
+        if found:
+            yield sorted(found)
+
+
+def verify_packing_coloring(g: Graph, c: Coloring) -> ViolationReport:
+    """Check every same-color pair, one color class at a time in ascending
+    color order.  Returns the complete violation list, plus any vertices of
+    g missing from the coloring; ok means both lists are empty."""
+    classes, uncolored = _classes(g, c)
+    violations = [hit for found in _class_violations(g, classes) for hit in found]
     return ViolationReport(ok=not violations and not uncolored,
-                           violations=sorted(violations), uncolored=uncolored)
+                           violations=violations, uncolored=uncolored)
+
+
+def _first_violation(g: Graph, c: Coloring
+                     ) -> tuple[list[str], tuple[int, str, str, int] | None]:
+    """verify's uncolored list and its first violation or None, read off
+    the lowest violating class without sweeping the classes above it."""
+    classes, uncolored = _classes(g, c)
+    return uncolored, next(_class_violations(g, classes), [None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sierpack import packing
 from sierpack._data import MissingData, load_coloring, load_graph, load_map
 from sierpack._naive import boundary_profile, naive_lift_margins
 from sierpack.certify import (
@@ -46,6 +47,7 @@ from sierpack.sierpinski import (
 
 C4 = base_graph_library("C4")
 K13 = base_graph_library("K13")
+K4 = base_graph_library("K4")
 K4E = base_graph_library("K4E")
 
 
@@ -179,6 +181,29 @@ def test_small_triangle_block_is_refuted_when_tiled():
     assert report.status == REFUTED
     assert report.refuted_dimension == 2
     assert report.max_dimension == 1
+
+
+@pytest.mark.parametrize("base, m, seed, n, violation, levels", [
+    (K4E, 4, 707825, 5, (2, "03330", "30000", 2), 243),  # 1,836 with every class swept
+    (K4, 3, 56121, 4, (5, "0330", "3021", 5), 36),  # 381 with every class swept
+])
+def test_refuted_backstop_stops_at_lowest_violating_class(base, m, seed, n, violation,
+                                                          levels, monkeypatch):
+    block = greedy_packing_coloring(gen_generalized(m, base), seed=seed)
+    sweep, count = packing._sweep, [0]
+
+    def counted(*args, **kwargs):
+        for level in sweep(*args, **kwargs):
+            count[0] += 1
+            yield level
+
+    monkeypatch.setattr(packing, "_sweep", counted)
+    report = certify_generalized_tiling(base, m, block)
+    assert (report.status, report.refuted_dimension, report.violation) == (
+        REFUTED, n, violation)
+    assert count[0] == levels  # block validation plus the refuted tiling's low classes
+    tiled = tile_coloring("generalized", m, block, n, base=base)
+    assert verify_packing_coloring(gen_generalized(n, base), tiled).violations[0] == violation
 
 
 def test_triangle_corner_mismatch_raised_before_validity():

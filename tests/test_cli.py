@@ -17,6 +17,7 @@ from sierpack._data import _read
 from sierpack.certify import EMPIRICAL, CertificateReport, lower_bound_sequence
 from sierpack.graph_core import read_graph
 from sierpack.packing import EXACT, DecideResult, SolveResult, read_coloring
+from sierpack.sierpinski import base_graph_library, gen_generalized
 
 
 def run_cli(argv, capsys):
@@ -81,6 +82,10 @@ def test_unknown_subcommand_exits_3(capsys):
      {"c": "00 1\n01 2\n02 4\n11 1\n12 3\n22 2\n"}, "corner colors differ"),
     (["certify", "--family", "triangle", "--m", "1", "c"],
      {"c": "00 1\n01 1\n02 2\n11 1\n12 3\n22 1\n"}, "block pair 00, 01"),
+    # color 2 is listed first and clashes too, but the lower color 1 is named
+    (["certify", "--family", "triangle", "--m", "1", "c"],
+     {"c": "00 2\n11 2\n22 2\n01 1\n02 1\n12 3\n"},
+     "block pair 01, 02 shares color 1 at distance 1"),
     (["certify", "--family", "triangle", "--m", "1", "c", "--depth", "-3"],
      {"c": "00 1\n01 2\n02 3\n11 1\n12 4\n22 1\n"}, "depth must be >= 0, got -3"),
     (["search", "--family", "triangle", "--m", "2", "--max-color", "0", "-o", "f"],
@@ -100,7 +105,7 @@ def test_unknown_subcommand_exits_3(capsys):
      "--timeout must be a finite number of seconds >= 0, got 'inf'"),
 ], ids=["chi-disconnected", "chi-self-loop", "verify-unknown-label",
         "decide-unknown-vertex", "certify-corner-mismatch", "certify-invalid-block",
-        "certify-negative-depth",
+        "certify-invalid-block-two-classes", "certify-negative-depth",
         "search-max-color-0", "search-restarts-0", "search-negative-iters",
         "search-max-color-above-block", "timeout-nan", "timeout-negative",
         "timeout-inf"])
@@ -285,6 +290,17 @@ def test_certify_refuted_block_exits_1(tmp_path, capsys):
                             str(block)], capsys)
     assert code == 1
     assert out.startswith("status REFUTED")
+
+
+def test_certify_refuted_greedy_block_names_first_violation(tmp_path, capsys):
+    k4e = gen_generalized(4, base_graph_library("K4E"))
+    block = tmp_path / "greedy.coloring"
+    packing.write_coloring(block, packing.greedy_packing_coloring(k4e, seed=707825))
+    code, out, _ = run_cli(["certify", "--family", "generalized", "--base", "K4E",
+                            "--m", "4", str(block)], capsys)
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "status REFUTED dimension 5 color 2 pair 03330 30000 distance 2")
 
 
 @pytest.mark.parametrize("argv", [

@@ -162,6 +162,27 @@ def test_verify_matches_label_level_oracle_on_trap_cases():
                     == naive_verify_packing_coloring(g, coloring)), (g.edges(), coloring)
 
 
+def test_first_violation_matches_label_level_oracle():
+    # 240 seeded graphs and colorings, inserted in shuffled label order so
+    # that a higher color often comes first; some vertices stay uncolored
+    rng = random.Random(26)
+    several = uncolored = higher_first = 0
+    for _ in range(240):
+        g = sparse_labelled_graph(rng, rng.choice([1, 2, 5, 12, 40, 90]))
+        top = rng.randint(1, 6)
+        labels = list(g.labels)
+        rng.shuffle(labels)
+        coloring = {lab: rng.randint(1, top) for lab in labels if rng.random() < 0.9}
+        want = naive_verify_packing_coloring(g, coloring)
+        assert packing._first_violation(g, coloring) == (
+            want.uncolored, want.violations[0] if want.violations else None)
+        violating = {col for col, *_ in want.violations}
+        several += len(violating) > 1
+        uncolored += bool(want.uncolored)
+        higher_first += bool(violating) and next(iter(coloring.values())) > min(violating)
+    assert min(several, uncolored, higher_first) >= 20, (several, uncolored, higher_first)
+
+
 def first_fit(g, seq, d=None):
     """Greedy by definition: each vertex in turn takes the smallest color c
     with no vertex of color c within distance c.  `d` is the distance table,
